@@ -76,7 +76,6 @@ class RunConfig:
     probes: tuple[tuple[complex, complex], ...] = ()
     truncate: int | None = None
     angular: int = 2048
-    radial: int = 256
     workers: int = 1
     trace: str | None = None
     out: str | None = None
@@ -178,26 +177,18 @@ def _scan_row(report) -> list:
 
 
 def _cmd_certify(cfg: RunConfig):
+    """certify (all three certificates) and embed (embeddability only)."""
     shear = _load_map(cfg)
-    certs = all_certificates(shear, n_max=cfg.n_max)
+    if cfg.subcommand == "embed":
+        certs = [embed_certificate(shear, n_max=cfg.n_max)]
+    else:
+        certs = all_certificates(shear, n_max=cfg.n_max)
     comments = [
-        ("subcommand", "certify"),
+        ("subcommand", cfg.subcommand),
         _source_comment(cfg),
         ("n_max", str(cfg.n_max)),
     ]
     rows = [[c.kind, c.status, c.degree, c.margin] for c in certs]
-    return comments, _CERT_COLUMNS, rows, (), 0
-
-
-def _cmd_embed(cfg: RunConfig):
-    shear = _load_map(cfg)
-    cert = embed_certificate(shear, n_max=cfg.n_max)
-    comments = [
-        ("subcommand", "embed"),
-        _source_comment(cfg),
-        ("n_max", str(cfg.n_max)),
-    ]
-    rows = [[cert.kind, cert.status, cert.degree, cert.margin]]
     return comments, _CERT_COLUMNS, rows, (), 0
 
 
@@ -233,18 +224,13 @@ def _cmd_growth_scan(cfg: RunConfig):
     shear = _load_map(cfg)
     radii = cfg.grid if cfg.grid is not None else parse_grid("0.1:0.9:9")
     records = growth_conformance_scan(
-        shear,
-        radii,
-        n_angular=cfg.angular,
-        n_radial=cfg.radial,
-        workers=cfg.workers,
+        shear, radii, n_angular=cfg.angular, workers=cfg.workers
     )
     comments = [
         ("subcommand", "growth-scan"),
         _source_comment(cfg),
         ("radii", ":".join(repr(r) for r in radii)),
         ("angular", str(cfg.angular)),
-        ("radial", str(cfg.radial)),
     ]
     columns = ("r", "sup_norm", "bound", "conforms")
     rows = [[rec.r, rec.sup_norm, rec.bound, rec.conforms] for rec in records]
@@ -254,7 +240,7 @@ def _cmd_growth_scan(cfg: RunConfig):
 
 def _cmd_counterexample(cfg: RunConfig):
     grid = cfg.grid if cfg.grid is not None else DEFAULT_R_GRID
-    scan = divergence_scan(grid, c_report=cfg.c_report, workers=cfg.workers)
+    scan = divergence_scan(grid, c_report=cfg.c_report)
     comments = [
         ("subcommand", "counterexample"),
         ("builtin", BUILTIN_NAME),
@@ -325,7 +311,7 @@ def _cmd_eval(cfg: RunConfig):
 
 _HANDLERS = {
     "certify": _cmd_certify,
-    "embed": _cmd_embed,
+    "embed": _cmd_certify,
     "starlike-scan": _cmd_starlike_scan,
     "eq1-scan": _cmd_eq1_scan,
     "growth-scan": _cmd_growth_scan,
@@ -360,7 +346,8 @@ def _add_source_args(parser, builtin_allowed=True):
 def _add_output_args(parser):
     parser.add_argument("--out", metavar="PATH", help="write report here (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="thread count for scans and growth-scan")
 
 
 def _add_sampler_args(parser):
@@ -413,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth-scan", help="operator-norm growth vs the certified bound")
     _add_source_args(p)
     p.add_argument("--grid", metavar="A:B[:N]", help="radius grid (default 0.1:0.9:9)")
-    p.add_argument("--angular", type=int, default=2048, metavar="N")
-    p.add_argument("--radial", type=int, default=256, metavar="N")
+    p.add_argument("--angular", type=int, default=2048, metavar="N",
+                   help="sample count on each circle |z2| = r")
     _add_output_args(p)
 
     p = sub.add_parser("counterexample", help="divergence table for the built-in map")

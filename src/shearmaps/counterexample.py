@@ -159,7 +159,6 @@ DEFAULT_R_GRID = (0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 def divergence_scan(
     r_grid: Sequence[float] | None = None,
     c_report: float = 10.0,
-    workers: int = 1,
 ) -> DivergenceScan:
     """Tabulate opnorm, the certified lower bounds and the ratio over a
     strictly increasing grid in (1/2, 1); the verdict is affirmative when the
@@ -187,14 +186,7 @@ def divergence_scan(
             ratio=opnorm * (1.0 - r) ** 3,
         )
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(record, rs))
-    else:
-        records = tuple(record(r) for r in rs)
-
+    records = tuple(record(r) for r in rs)
     if len(records) < 2:
         return DivergenceScan(records, VERDICT_INSUFFICIENT_GRID, False, c_report)
     monotone = all(b.ratio > a.ratio for a, b in zip(records, records[1:]))

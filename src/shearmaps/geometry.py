@@ -85,6 +85,8 @@ class SamplerConfig:
         if int(self.n_random) < 0:
             raise ConfigError(f"n_random must be >= 0, got {self.n_random!r}")
         object.__setattr__(self, "n_random", int(self.n_random))
+        if int(self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "probes", tuple(as_ball_point(p) for p in self.probes))
 

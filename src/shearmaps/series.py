@@ -55,9 +55,13 @@ class BallPoint:
     def __post_init__(self):
         object.__setattr__(self, "z1", require_finite_complex(self.z1, "z1"))
         object.__setattr__(self, "z2", require_finite_complex(self.z2, "z2"))
-        if self.norm_sq >= 1.0:
+        try:
+            norm_sq = self.norm_sq
+        except OverflowError:  # |z|^2 beyond double range
+            norm_sq = math.inf
+        if norm_sq >= 1.0:
             raise DomainError(
-                f"point must lie in the open unit ball, got |z|^2 = {self.norm_sq!r}"
+                f"point must lie in the open unit ball, got |z|^2 = {norm_sq!r}"
             )
 
     @property
@@ -297,6 +301,8 @@ def parse_series_spec(text: str, source: str = "<string>") -> CoefficientSeries:
         raise ConfigError(
             f"{source}: invalid series spec at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # digit limit, nesting depth
+        raise ConfigError(f"{source}: invalid series spec: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: series spec must be an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - {"start", "coeffs", "tail_bound"})
@@ -318,14 +324,21 @@ def parse_series_spec(text: str, source: str = "<string>") -> CoefficientSeries:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ConfigError(f"{source}: coefficient a_{k} must be a [re, im] pair, got {pair!r}")
-        coeffs.append(complex(pair[0], pair[1]))
+        try:
+            coeffs.append(complex(pair[0], pair[1]))
+        except OverflowError as exc:  # an integer beyond double range
+            raise ConfigError(f"{source}: coefficient a_{k}: {exc}") from exc
     tb = doc.get("tail_bound")
     if tb is not None:
         if not isinstance(tb, (int, float)) or isinstance(tb, bool):
             raise ConfigError(f"{source}: `tail_bound` must be a number, got {tb!r}")
-        if float(tb) < 0.0 or math.isnan(float(tb)):
+        try:
+            value = float(tb)
+        except OverflowError as exc:
+            raise ConfigError(f"{source}: `tail_bound`: {exc}") from exc
+        if value < 0.0 or math.isnan(value):
             raise ConfigError(f"{source}: `tail_bound` must be >= 0, got {tb!r}")
-        tb = float(tb)
+        tb = value
     try:
         return CoefficientSeries(tuple(coeffs), tb)
     except (DomainError, ValueError) as exc:

@@ -151,7 +151,7 @@ def test_acceptance_3_growth_conformance():
     ]
     radii = np.linspace(0.1, 0.9, 9)
     for f in certified:
-        records = growth_conformance_scan(f, radii, n_angular=256, n_radial=64)
+        records = growth_conformance_scan(f, radii, n_angular=256)
         assert all(rec.conforms for rec in records), f.label
 
     assert abs(s0_growth_bound(0.5) - 23.3137085) <= 1e-6

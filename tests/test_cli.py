@@ -145,7 +145,7 @@ def test_eq1_scan_json_handles_non_finite(tmp_path):
 def test_growth_scan_cli(geo_spec, tmp_path):
     out = tmp_path / "growth.csv"
     code = main(["growth-scan", "--input", geo_spec, "--grid", "0.1:0.9:5",
-                 "--angular", "64", "--radial", "8", "--out", str(out)])
+                 "--angular", "64", "--out", str(out)])
     assert code == 0
     _, rows = read_csv_report(out)
     assert len(rows) == 5
@@ -234,6 +234,30 @@ def test_exit_2_cases(tmp_path, geo_spec, capsys):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.strip(), argv
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["starlike-scan", "--seed", "-1"], None),
+        (["eval", "--probe", "1e308,0"], None),
+        (["certify"], '{"start": 2, "coeffs": [[1%s, 0]]}' % ("0" * 400)),
+        (["certify"], '{"start": 2, "coeffs": [[0.1, 0]], "tail_bound": 1%s}' % ("0" * 400)),
+        (["certify"], '{"start": 2, "coeffs": [[%s, 0]]}' % ("1" * 5000)),
+        (["certify"], "[" * 100_000 + "]" * 100_000),
+    ],
+    ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
+         "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting"],
+)
+def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
+    """Exit 1 means a finding; inputs that cannot be evaluated are errors."""
+    path = geo_spec
+    if spec is not None:
+        path = tmp_path / "hostile.json"
+        path.write_text(spec)
+    code = main(argv[:1] + ["--input", str(path)] + argv[1:])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("shearmaps: error:")
 
 
 def test_argparse_failures_return_2(capsys):

@@ -146,12 +146,6 @@ def test_divergence_scan_validation():
         divergence_scan((0.6, 0.9), c_report=0.5)
 
 
-def test_divergence_scan_workers_agree():
-    a = divergence_scan(workers=1)
-    b = divergence_scan(workers=4)
-    assert a == b
-
-
 def test_divergence_record_rejects_inconsistent_bound():
     with pytest.raises(DomainError):
         DivergenceRecord(r=0.9, opnorm=10.0, lower_bound=24297.2,

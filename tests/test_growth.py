@@ -1,16 +1,22 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bounded_nine_term_shear,
+    geometric_deriv,
     geometric_shear,
     heavy_nine_term_shear,
     monomial_shear,
     random_ball_points,
 )
 from shearmaps import (
+    STARLIKE_SUM_LIMIT,
+    CoefficientSeries,
     ConfigError,
     DomainError,
     Jacobian2,
@@ -22,7 +28,9 @@ from shearmaps import (
     opnorm2_pair,
     s0_growth_bound,
     schwarz_pick_bound,
+    shear_from_series,
     shear_opnorm,
+    starlike_certificate,
     unipotent_opnorm,
 )
 
@@ -123,11 +131,11 @@ def test_schwarz_pick_specializes_to_growth_bound():
 
 
 def test_conformance_scan_monomial_exact_sup():
-    """For g = a z^2 the derivative peaks on the outer ring at 2|a|r, which
-    the polar grid hits exactly."""
+    """For g = a z^2 the derivative has modulus 2|a|r on the whole circle
+    |z2| = r, so every circle sample hits the sup exactly."""
     f = monomial_shear(0.5)
     radii = (0.2, 0.5, 0.8)
-    records = growth_conformance_scan(f, radii, n_angular=32, n_radial=8)
+    records = growth_conformance_scan(f, radii, n_angular=32)
     for rec, r in zip(records, radii):
         np.testing.assert_allclose(rec.sup_norm, unipotent_opnorm(1.0 * r), rtol=1e-12)
         assert rec.bound == s0_growth_bound(r)
@@ -139,7 +147,7 @@ def test_conformance_scan_monomial_exact_sup():
 def test_conformance_scan_accepts_all_certified_fixtures():
     radii = (0.3, 0.6, 0.9)
     for f in (identity_shear(), geometric_shear(), bounded_nine_term_shear()):
-        records = growth_conformance_scan(f, radii, n_angular=64, n_radial=16)
+        records = growth_conformance_scan(f, radii, n_angular=64)
         assert all(rec.conforms for rec in records)
 
 
@@ -165,6 +173,43 @@ def test_conformance_scan_validation():
 def test_conformance_scan_workers_agree():
     f = geometric_shear()
     radii = tuple(np.linspace(0.1, 0.9, 5))
-    a = growth_conformance_scan(f, radii, n_angular=64, n_radial=8, workers=1)
-    b = growth_conformance_scan(f, radii, n_angular=64, n_radial=8, workers=4)
+    a = growth_conformance_scan(f, radii, n_angular=64, workers=1)
+    b = growth_conformance_scan(f, radii, n_angular=64, workers=4)
     assert a == b
+
+
+def test_conformance_scan_geometric_closed_form():
+    """The geometric coefficients are nonnegative, so max |g'| on |z2| <= r
+    sits at z2 = r, which is the angle-0 circle sample."""
+    radii = tuple(np.linspace(0.1, 0.9, 9))
+    for rec in growth_conformance_scan(geometric_shear(), radii):
+        expected = unipotent_opnorm(abs(geometric_deriv(rec.r)))
+        np.testing.assert_allclose(rec.sup_norm, expected, rtol=1e-10)
+
+
+_unit_phase = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.floats(0.0, 1.0), _unit_phase), min_size=1, max_size=12),
+    fill=st.floats(0.0, 0.999),
+    radii=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+    interior=st.lists(st.tuples(st.floats(0.0, 0.98), _unit_phase), min_size=1, max_size=8),
+)
+def test_circle_sup_dominates_interior(terms, fill, radii, interior):
+    """Maximum modulus: the circle sup bounds ||df|| at interior points,
+    drawn ones plus a dense ring, all within |zeta| <= 0.98 r.  There
+    g'(0) = 0 gives |g'(zeta)| <= 0.98 max_{|z|=r} |g'| (Schwarz), and g' has
+    degree <= 12, so Bernstein's inequality puts the 2048-point circle max
+    within a factor 1 - 12 pi/2048 > 0.98 of the true max."""
+    s2 = sum((k - 1) * w for k, (w, _) in enumerate(terms, start=2)) or 1.0
+    coeffs = tuple(fill * STARLIKE_SUM_LIMIT * (w / s2) * cmath.exp(1j * t) for w, t in terms)
+    f = shear_from_series(CoefficientSeries(coeffs), label="random")
+    assert starlike_certificate(f).certified
+    drawn = [frac * cmath.exp(1j * phase) for frac, phase in interior]
+    ring = 0.98 * np.exp(2j * math.pi * np.arange(4096) / 4096)
+    points = np.concatenate([drawn, ring])
+    for rec in growth_conformance_scan(f, radii):
+        inner = unipotent_opnorm(np.max(np.abs(f.g.deriv_raw(rec.r * points))))
+        assert rec.sup_norm >= inner * (1.0 - 1e-12)
