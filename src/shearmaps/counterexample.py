@@ -172,8 +172,8 @@ def divergence_scan(
     if rs[0] <= 0.5 or rs[-1] >= 1.0:
         raise ConfigError(f"r grid must lie inside (1/2, 1), got {rs!r}")
     c_report = float(c_report)
-    if c_report < 1.0:
-        raise ConfigError(f"C_report must be >= 1, got {c_report!r}")
+    if not (math.isfinite(c_report) and c_report >= 1.0):
+        raise ConfigError(f"C_report must be a finite number >= 1, got {c_report!r}")
     f = counterexample_map()
 
     def record(r: float) -> DivergenceRecord:

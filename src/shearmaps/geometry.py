@@ -22,10 +22,12 @@ Reductions are ordered and partition-independent: minima with ties broken by
 lexicographic witness order, so reports are byte-identical for any worker
 count.
 
-Samples whose log-magnitudes exceed a screening limit cannot be evaluated in
-double precision; the starlike scan excludes them (counted as `refused`),
-while the eq1 scan certifies the residual sign in log-magnitude arithmetic
-when one term dominates (reported as a -inf residual) and refuses otherwise.
+Each chunk of samples is evaluated once, then screened: samples whose
+log-magnitudes exceed a screening limit are not trusted in double precision.
+The starlike scan excludes them (counted as `refused`), while the eq1 scan
+certifies the residual sign in log-magnitude arithmetic when one term
+dominates (reported as a -inf residual) and refuses otherwise.  A scan in
+which every sample whose value depends on g was refused is an error.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def boundedness_scan(
     g: DiskFunction, r: float, angles: Sequence[float] = (), n_angular: int = 4096
 ) -> float:
     """Max of log|g| over the circle |zeta| = r (uniform angles plus probes),
-    computed in log-magnitude arithmetic so it never overflows.  Returns
+    through DiskFunction.log_abs_of, so closed forms never overflow.  Returns
     -inf when g vanishes at every probed point (identically-small state)."""
     r = float(r)
     if not (0.0 < r < 1.0):
@@ -156,8 +158,8 @@ def boundedness_scan(
          np.asarray(list(angles), dtype=float)]
     )
     zeta = r * np.exp(1j * phi)
-    la = np.asarray(g.log_abs_raw(zeta), dtype=float)
-    return float(np.max(la))
+    with np.errstate(all="ignore"):
+        return float(np.max(g.log_abs_of(zeta, g.eval_raw(zeta))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +223,13 @@ def _map_chunks(fn, slices, workers: int):
     return [fn(sl) for sl in slices]
 
 
-def _screen_ok(f: ShearingMap, z2: np.ndarray) -> np.ndarray:
-    ok = np.asarray(f.g.log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
-    if f.g.deriv_log_abs_raw is not None:
-        ok &= np.asarray(f.g.deriv_log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
-    return ok
-
-
-def _pick_witness(values: np.ndarray, keys: np.ndarray) -> int:
+def _pick_witness(values: np.ndarray, keys: np.ndarray, depends_on_g: np.ndarray) -> int:
     """Index of the minimum value; ties broken by lexicographic witness key.
-    NaN entries (refused samples) never win."""
+    NaN entries (refused samples) never win.  A scan in which every sample
+    whose value depends on g was refused carries no information and fails."""
     valid = ~np.isnan(values)
-    if not valid.any():
-        raise ConfigError("every sample was refused; nothing to report")
+    if not (valid & depends_on_g).any():
+        raise ConfigError("every sample whose value depends on g was refused; nothing to report")
     vmin = np.min(values[valid])
     cand = np.flatnonzero(valid & (values == vmin))
     best = min(cand, key=lambda i: tuple(keys[i]))
@@ -294,27 +290,23 @@ def starlike_scan(
         z2 = samples.z2[sl]
         r1 = samples.r1[sl]
         phi1 = samples.phi1[sl]
-        m = z2.size
-        values = np.full(m, np.nan)
-        z1 = np.full(m, complex(np.nan, np.nan), dtype=complex)
-        ok = _screen_ok(f, z2)
-        if ok.any():
-            zo = z2[ok]
-            ro = r1[ok]
-            with np.errstate(invalid="ignore", over="ignore"):
-                w = f.g.eval_raw(zo) - zo * f.g.deriv_raw(zo)
-                norm_sq = ro**2 + np.abs(zo) ** 2
-                aligned = np.isnan(phi1[ok])
-                absw = np.abs(w)
-                safe = np.where(absw > 0.0, absw, 1.0)
-                z1_aligned = np.where(absw > 0.0, -ro * w / safe, ro.astype(complex))
-                z1_given = ro * np.exp(1j * phi1[ok])
-                vals = np.where(
-                    aligned, norm_sq - absw * ro, norm_sq + (w * np.conj(z1_given)).real
-                )
-            vals[~np.isfinite(vals)] = np.nan
-            values[ok] = vals
-            z1[ok] = np.where(aligned, z1_aligned, z1_given)
+        aligned = np.isnan(phi1)
+        with np.errstate(all="ignore"):
+            g = f.g.eval_raw(z2)
+            w = g - z2 * f.g.deriv_raw(z2)
+            ok = f.g.log_abs_of(z2, g) <= SCAN_LOG_LIMIT
+            if f.g.deriv_log_abs_raw is not None:
+                ok &= np.asarray(f.g.deriv_log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
+            norm_sq = r1**2 + np.abs(z2) ** 2
+            absw = np.abs(w)
+            safe = np.where(absw > 0.0, absw, 1.0)
+            z1_aligned = np.where(absw > 0.0, -r1 * w / safe, r1.astype(complex))
+            z1_given = r1 * np.exp(1j * phi1)
+            values = np.where(
+                aligned, norm_sq - absw * r1, norm_sq + (w * np.conj(z1_given)).real
+            )
+        values[~(ok & np.isfinite(values))] = np.nan
+        z1 = np.where(ok, np.where(aligned, z1_aligned, z1_given), complex(np.nan, np.nan))
         return values, z1
 
     parts = _map_chunks(run, _chunks(n), workers)
@@ -322,7 +314,7 @@ def starlike_scan(
     z1 = np.concatenate([p[1] for p in parts])
     refused = int(np.isnan(values).sum())
     keys = np.column_stack([z1.real, z1.imag, samples.z2.real, samples.z2.imag])
-    best = _pick_witness(values, keys)
+    best = _pick_witness(values, keys, samples.z2 != 0.0)
     witness = BallPoint(complex(z1[best]), complex(samples.z2[best]))
     extremum = starlike_quantity(f, witness)
     digest = _digest("starlike-scan", f, cfg, refused)
@@ -379,47 +371,40 @@ def eq1_scan(
         z2 = samples.z2[sl]
         r1 = samples.r1[sl]
         phi1 = samples.phi1[sl]
-        m = z2.size
-        values = np.full((na, m), np.nan)
-        z1_act = np.full((na, m), complex(np.nan, np.nan), dtype=complex)
-        la2 = np.asarray(f.g.log_abs_raw(z2), dtype=float)
+        values = np.empty((na, z2.size))
+        z1_act = np.empty((na, z2.size), dtype=complex)
         a2sq = np.abs(z2) ** 2
         aligned = np.isnan(phi1)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="ignore"):
             z1_given = r1 * np.exp(1j * phi1)
+            g2 = f.g.eval_raw(z2)
+            la2 = f.g.log_abs_of(z2, g2)
         z1_plain = np.where(aligned, r1.astype(complex), z1_given)
-        mask2 = la2 <= SCAN_LOG_LIMIT
-        g2 = np.zeros(m, dtype=complex)
-        if mask2.any():
-            g2[mask2] = f.g.eval_raw(z2[mask2])
         for i, a in enumerate(avals):
             if a == 1.0:
                 values[i] = 1.0 - (r1 * r1 + a2sq)
                 z1_act[i] = z1_plain
                 continue
-            laa = np.asarray(f.g.log_abs_raw(a * z2), dtype=float) - math.log(a)
-            ok = mask2 & (laa <= SCAN_LOG_LIMIT)
-            # one term out of double range: certify the sign when it
-            # dominates the other, refuse (NaN) otherwise
-            with np.errstate(invalid="ignore"):
+            with np.errstate(all="ignore"):
+                ga = f.g.eval_raw(a * z2)
+                laa = f.g.log_abs_of(a * z2, ga) - math.log(a)
+                ok = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
+                # one term out of double range: certify the sign when it
+                # dominates the other, refuse (NaN) otherwise
                 certified = (~ok) & (
                     np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
                 )
-            if certified.any():
-                values[i][certified] = -math.inf
-                z1_act[i][certified] = z1_plain[certified]
-            if ok.any():
-                c = g2[ok] - f.g.eval_raw(a * z2[ok]) / a
-                inv = 1.0 / (a * a)
+                c = g2 - ga / a
                 absc = np.abs(c)
                 safe = np.where(absc > 0.0, absc, 1.0)
-                z1a = np.where(absc > 0.0, r1[ok] * c / safe, r1[ok].astype(complex))
-                z1g = z1_given[ok]
-                with np.errstate(invalid="ignore", over="ignore"):
-                    mm = np.where(aligned[ok], r1[ok] + absc, np.abs(z1g + c))
-                    vals = inv - (mm * mm + a2sq[ok])
-                values[i][ok] = vals
-                z1_act[i][ok] = np.where(aligned[ok], z1a, z1g)
+                z1a = np.where(absc > 0.0, r1 * c / safe, r1.astype(complex))
+                mm = np.where(aligned, r1 + absc, np.abs(z1_given + c))
+                vals = 1.0 / (a * a) - (mm * mm + a2sq)
+            values[i] = np.where(ok, vals, np.where(certified, -math.inf, np.nan))
+            z1_act[i] = np.where(
+                ok, np.where(aligned, z1a, z1_given),
+                np.where(certified, z1_plain, complex(np.nan, np.nan)),
+            )
         return values, z1_act
 
     parts = _map_chunks(run, _chunks(n), workers)
@@ -434,7 +419,8 @@ def eq1_scan(
     keys = np.column_stack(
         [z1_flat.real, z1_flat.imag, z2_flat.real, z2_flat.imag, alpha_flat]
     )
-    best = _pick_witness(flat, keys)
+    depends_on_g = (alpha_flat < 1.0) & (z2_flat != 0.0)
+    best = _pick_witness(flat, keys, depends_on_g)
     witness = BallPoint(complex(z1_flat[best]), complex(z2_flat[best]))
     alpha_star = float(alpha_flat[best])
     extremum = float(flat[best])

@@ -6,6 +6,10 @@ coefficients a_2..a_M (indices 0 and 1 are structurally absent) together with
 an optional bound on the weighted tail sum_{k>M} k|a_k|.  Closed-form
 representations carry evaluators only; coefficient functionals then report a
 distinguished non-finite state instead of guessing.
+
+Log-magnitude evaluators belong to closed forms only, whose log|g| stays
+finite past double overflow.  For a coefficient series log|g| is derived
+from the computed value, so each point is evaluated once.
 """
 
 from __future__ import annotations
@@ -201,13 +205,16 @@ class DiskFunction:
 
     The raw callables are array-capable and unguarded; the public eval/deriv
     methods validate the point and refuse (typed error) when the value's
-    log-magnitude exceeds OVERFLOW_LOG_THRESHOLD.  coefficients is None for
-    closed-form representations without coefficient access.
+    log-magnitude exceeds OVERFLOW_LOG_THRESHOLD.  The optional log-magnitude
+    evaluators belong to closed forms only, whose log|g| and log|g'| stay
+    finite past double overflow; without one, log|g| is derived from the
+    computed value (log_abs_of).  coefficients is None for closed-form
+    representations without coefficient access.
     """
 
     eval_raw: Callable = field(repr=False)
     deriv_raw: Callable = field(repr=False)
-    log_abs_raw: Callable = field(repr=False)
+    log_abs_raw: Callable | None = field(default=None, repr=False)
     deriv_log_abs_raw: Callable | None = field(default=None, repr=False)
     coefficients: CoefficientSeries | None = None
     label: str = ""
@@ -221,15 +228,25 @@ class DiskFunction:
                 f"got g(0) = {g0!r}, g'(0) = {dg0!r}"
             )
 
+    def log_abs_of(self, z, value):
+        """log|g(z)| for value = eval_raw(z): the closed-form evaluator when
+        present, else log|value| (-inf at zeros, inf past double range)."""
+        if self.log_abs_raw is not None:
+            return np.asarray(self.log_abs_raw(z), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(np.abs(value))
+
     def eval(self, zeta) -> complex:
         z = require_disk_point(zeta)
-        la = float(self.log_abs_raw(z))
+        with np.errstate(all="ignore"):
+            value = self.eval_raw(z)
+        la = float(self.log_abs_of(z, value))
         if la > OVERFLOW_LOG_THRESHOLD:
             raise OverflowRefusalError(
                 f"|g({z!r})| has log-magnitude {la!r} > {OVERFLOW_LOG_THRESHOLD}; "
                 f"use the log-magnitude evaluator"
             )
-        return complex(self.eval_raw(z))
+        return complex(value)
 
     def deriv(self, zeta) -> complex:
         z = require_disk_point(zeta)
@@ -246,9 +263,10 @@ class DiskFunction:
         return value
 
     def log_abs(self, zeta) -> float:
-        """log|g(zeta)|, overflow-safe; -inf at zeros of g."""
+        """log|g(zeta)|, overflow-safe for closed forms; -inf at zeros of g."""
         z = require_disk_point(zeta)
-        return float(self.log_abs_raw(z))
+        with np.errstate(all="ignore"):
+            return float(self.log_abs_of(z, self.eval_raw(z)))
 
 
 def disk_function_from_series(series: CoefficientSeries, label: str = "") -> DiskFunction:
@@ -260,14 +278,9 @@ def disk_function_from_series(series: CoefficientSeries, label: str = "") -> Dis
     def deriv_raw(z):
         return _horner_deriv(coeffs, z)
 
-    def log_abs_raw(z):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(_horner(coeffs, z)))
-
     return DiskFunction(
         eval_raw=eval_raw,
         deriv_raw=deriv_raw,
-        log_abs_raw=log_abs_raw,
         coefficients=series,
         label=label,
     )
@@ -276,7 +289,7 @@ def disk_function_from_series(series: CoefficientSeries, label: str = "") -> Dis
 def disk_function_from_callables(
     eval_raw: Callable,
     deriv_raw: Callable,
-    log_abs_raw: Callable,
+    log_abs_raw: Callable | None = None,
     deriv_log_abs_raw: Callable | None = None,
     label: str = "",
 ) -> DiskFunction:

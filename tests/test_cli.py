@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometric_series
 from shearmaps import ConfigError, dump_series_spec
@@ -236,6 +242,9 @@ def test_exit_2_cases(tmp_path, geo_spec, capsys):
         assert capsys.readouterr().err.strip(), argv
 
 
+_TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"]
+
+
 @pytest.mark.parametrize(
     "argv, spec",
     [
@@ -245,19 +254,65 @@ def test_exit_2_cases(tmp_path, geo_spec, capsys):
         (["certify"], '{"start": 2, "coeffs": [[0.1, 0]], "tail_bound": 1%s}' % ("0" * 400)),
         (["certify"], '{"start": 2, "coeffs": [[%s, 0]]}' % ("1" * 5000)),
         (["certify"], "[" * 100_000 + "]" * 100_000),
+        # every sample whose value depends on g lies past the screening limit
+        (["starlike-scan", *_TINY], '{"start": 2, "coeffs": [[1e300, 0]]}'),
+        (["eq1-scan", *_TINY], '{"start": 2, "coeffs": [[1e300, 0]]}'),
+        (["starlike-scan", *_TINY], '{"start": 2, "coeffs": [[1e308, 1e308]]}'),
+        (["eq1-scan", *_TINY], '{"start": 2, "coeffs": [[1e308, 1e308]]}'),
+        (["counterexample", "--c-report", "nan"], None),
+        (["counterexample", "--c-report", "inf"], None),
     ],
     ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
-         "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting"],
+         "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting",
+         "no-information-starlike", "no-information-eq1",
+         "overflowing-a2-starlike", "overflowing-a2-eq1",
+         "nan-c-report", "inf-c-report"],
 )
 def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
-    """Exit 1 means a finding; inputs that cannot be evaluated are errors."""
+    """Exit 1 means a finding; inputs that cannot be evaluated, and scans
+    that evaluated nothing depending on g, are errors."""
     path = geo_spec
     if spec is not None:
         path = tmp_path / "hostile.json"
         path.write_text(spec)
-    code = main(argv[:1] + ["--input", str(path)] + argv[1:])
+    source = [] if argv[0] == "counterexample" else ["--input", str(path)]
+    code = main(argv[:1] + source + argv[1:])
     assert code == 2
     assert capsys.readouterr().err.startswith("shearmaps: error:")
+
+
+_FUZZ_COMMANDS = (
+    ["certify"],
+    ["starlike-scan", *_TINY],
+    ["eq1-scan", *_TINY],
+    ["growth-scan", "--grid", "0.1:0.9:3", "--angular", "16"],
+    ["eval", "--probe", "0.1,0.2;0.3,-0.4", "--probe", "0.0,0.0;-0.95,0.05"],
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(-300.0, 308.0), st.floats(0.0, 2.0 * math.pi)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_exit_codes_on_fuzzed_specs(terms):
+    """Any spec with coefficients from 1e-300 to 1e308 ends in exit 0, 1 or
+    2 without an exception, and exit 1 always comes with a finding row."""
+    coeffs = [[10.0**e * math.cos(t), 10.0**e * math.sin(t)] for e, t in terms]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps({"start": 2, "coeffs": coeffs}))
+        for argv in _FUZZ_COMMANDS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv[:1] + ["--input", str(path), "--format", "json"] + argv[1:])
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                rows = json.loads(out.getvalue())["rows"]
+                assert any(r.get("violation") is True or r.get("conforms") is False
+                           for r in rows), argv
 
 
 def test_argparse_failures_return_2(capsys):

@@ -1,12 +1,16 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometric_shear, monomial_shear, random_ball_points
 from shearmaps import (
     BallPoint,
+    CoefficientSeries,
     ConfigError,
     DiskFunction,
     DomainError,
@@ -15,12 +19,14 @@ from shearmaps import (
     boundedness_scan,
     counterexample_map,
     default_alpha_grid,
+    disk_function_from_callables,
     eq1_residual,
     eq1_scan,
+    shear_from_series,
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.series import re_inner
+from shearmaps.series import _horner, re_inner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -300,3 +306,90 @@ def test_boundedness_scan_validation():
         boundedness_scan(g, 1.0)
     with pytest.raises(DomainError):
         boundedness_scan(g, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# kernel evaluations per sample
+
+KERNELS = ("eval_raw", "deriv_raw", "log_abs_raw", "deriv_log_abs_raw")
+
+
+def counted_shear(f):
+    """f with every supplied kernel wrapped to count the points it receives."""
+    counts = {}
+
+    def counted(name, fn):
+        def kernel(z):
+            counts[name] = counts.get(name, 0) + np.size(z)
+            return fn(z)
+        return kernel
+
+    g = f.g
+    kernels = {k: counted(k, getattr(g, k)) for k in KERNELS if getattr(g, k) is not None}
+    wrapped = ShearingMap(dataclasses.replace(g, **kernels))
+    counts.clear()  # the normalization check at 0
+    return wrapped, counts
+
+
+def test_scans_evaluate_each_point_once():
+    """A series map derives log|g| from the value it computed: the starlike
+    scan costs g and g' once per sample, the eq1 scan g(z2) once plus
+    g(a z2) once per alpha < 1, and neither calls a log evaluator.  The
+    closed-form counterexample still screens with both of its own."""
+    n = SMALL.sample_count
+    f, counts = counted_shear(geometric_shear())
+    starlike_scan(f, sampler=SMALL)
+    # the witness is re-evaluated once through starlike_quantity
+    assert counts == {"eval_raw": n + 1, "deriv_raw": n + 1}
+    counts.clear()
+    alphas = default_alpha_grid()
+    report = eq1_scan(f, alphas=alphas, sampler=SMALL)
+    witness = 2 if report.alpha < 1.0 and math.isfinite(report.extremum) else 0
+    below_one = sum(a < 1.0 for a in alphas)
+    assert counts == {"eval_raw": n * (1 + below_one) + witness}
+
+    f, counts = counted_shear(counterexample_map())
+    starlike_scan(f, sampler=SMALL)
+    assert counts == dict.fromkeys(KERNELS, n + 1)
+    counts.clear()
+    eq1_scan(f, alphas=alphas, sampler=SMALL)
+    assert counts["log_abs_raw"] == counts["eval_raw"] >= n * (1 + below_one)
+
+
+_TINY = SamplerConfig(radius=0.95, n_radial=3, n_split=3, n_phase=2, n_random=30)
+
+
+def _scan_outcome(scan, f):
+    try:
+        return scan(f, sampler=_TINY)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# decimal exponents; 250..270 puts log|g| around the 600 screening limit
+_exponent = st.one_of(st.floats(250.0, 270.0), st.floats(-300.0, 300.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(_exponent, st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=10
+    ),
+)
+def test_derived_log_matches_explicit_evaluator(terms):
+    """A series map, whose log|g| is derived from the computed value, gives
+    the same report as the same polynomial with an explicit log|horner|,
+    including which samples the screen refuses."""
+    coeffs = tuple(10.0**e * complex(math.cos(t), math.sin(t)) for e, t in terms)
+    series = CoefficientSeries(coeffs)
+    derived = shear_from_series(series, label="random")
+
+    def log_abs_raw(z):
+        with np.errstate(all="ignore"):
+            return np.log(np.abs(_horner(coeffs, z)))
+
+    explicit = ShearingMap(disk_function_from_callables(
+        derived.g.eval_raw, derived.g.deriv_raw, log_abs_raw, label="random"
+    ))
+    for scan in (starlike_scan, eq1_scan):
+        assert _scan_outcome(scan, derived) == _scan_outcome(scan, explicit)
