@@ -16,18 +16,23 @@ exactly 1 - |z|^2).  boundedness_scan reports max log|g| on a circle.
 The scans sample sphere-stratified structured grids (radius s, split
 |z2|^2 = t s^2, phase of z2; the phase of z1 is chosen adversarially, which
 is exact because the quantity depends on z1 only through its modulus and one
-relative phase), plus seeded random points and user probes (each probe is
-evaluated both as given and with the phase of z1 adversarially realigned).
-Reductions are ordered and partition-independent: minima with ties broken by
+relative phase), plus seeded random points and user probes (each evaluated
+both as given and with the phase of z1 adversarially realigned).  Reductions
+are ordered and partition-independent: minima with ties broken by
 lexicographic witness order, so reports are byte-identical for any worker
 count.
 
-Each chunk of samples is evaluated once, then screened: samples whose
-log-magnitudes exceed a screening limit are not trusted in double precision.
-The starlike scan excludes them (counted as `refused`), while the eq1 scan
-certifies the residual sign in log-magnitude arithmetic when one term
-dominates (reported as a -inf residual) and refuses otherwise.  A scan in
-which every sample whose value depends on g was refused is an error.
+The kernels see each distinct z2 of the plan once (both copies of a random
+point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) for every
+alpha < 1 are evaluated on chunks of points, and only the arithmetic that
+involves z1 runs per sample.  The witness z1 and the lexicographic keys are
+built for the tied minima only (for every sample only when a trace is
+written).  Values whose log-magnitudes exceed a screening limit are not
+trusted in double precision.  The starlike scan excludes those samples
+(counted as `refused`), while the eq1 scan certifies the residual sign in
+log-magnitude arithmetic when one term dominates (reported as a -inf
+residual) and refuses otherwise.  A scan in which every sample whose value
+depends on g was refused is an error.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,11 +176,12 @@ def _split_grid(n_split: int) -> np.ndarray:
     return np.unique(np.append(grid, _EXTREMAL_SPLIT))
 
 
-@dataclass(frozen=True)
-class _Samples:
-    z2: np.ndarray    # complex
-    r1: np.ndarray    # |z1|
-    phi1: np.ndarray  # phase of z1; NaN means adversarially aligned
+class _Samples(NamedTuple):
+    points: np.ndarray  # complex: each distinct z2 of the plan once
+    src: np.ndarray     # each sample's index into points
+    r1: np.ndarray      # |z1|
+    phi1: np.ndarray    # phase of z1; NaN means adversarially aligned
+    given: np.ndarray   # indices of the samples with a given phase
 
 
 def _build_samples(cfg: SamplerConfig) -> _Samples:
@@ -183,9 +189,18 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
     t_grid = _split_grid(cfg.n_split)
     p_grid = np.arange(cfg.n_phase) * (2.0 * math.pi / cfg.n_phase)
     s, t, phi2 = (a.ravel() for a in np.meshgrid(s_grid, t_grid, p_grid, indexing="ij"))
-    z2 = [s * np.sqrt(t) * np.exp(1j * phi2)]
+    points = [s * np.sqrt(t) * np.exp(1j * phi2)]
+    src = [np.arange(s.size)]
     r1 = [s * np.sqrt(1.0 - t)]
     phi1 = [np.full(s.size, np.nan)]
+
+    def add_twice(z2, z1_abs, z1_phase):
+        # one point, two samples: z1 as given, and z1 realigned
+        first = sum(p.size for p in points)
+        points.append(z2)
+        src.extend([np.arange(first, first + z2.size)] * 2)
+        r1.extend([z1_abs, z1_abs])
+        phi1.extend([z1_phase, np.full(z2.size, np.nan)])
 
     if cfg.n_random:
         rng = np.random.default_rng(cfg.seed)
@@ -193,47 +208,42 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
         rt = rng.random(cfg.n_random)
         rp1 = 2.0 * math.pi * rng.random(cfg.n_random)
         rp2 = 2.0 * math.pi * rng.random(cfg.n_random)
-        rz2 = rs * np.sqrt(rt) * np.exp(1j * rp2)
-        rr1 = rs * np.sqrt(1.0 - rt)
-        # each random point enters twice: as drawn, and with z1 realigned
-        z2 += [rz2, rz2]
-        r1 += [rr1, rr1]
-        phi1 += [rp1, np.full(cfg.n_random, np.nan)]
+        add_twice(rs * np.sqrt(rt) * np.exp(1j * rp2), rs * np.sqrt(1.0 - rt), rp1)
 
     if cfg.probes:
         pz1 = np.asarray([p.z1 for p in cfg.probes], dtype=complex)
         pz2 = np.asarray([p.z2 for p in cfg.probes], dtype=complex)
-        z2 += [pz2, pz2]
-        r1 += [np.abs(pz1), np.abs(pz1)]
-        phi1 += [np.angle(pz1), np.full(len(cfg.probes), np.nan)]
+        add_twice(pz2, np.abs(pz1), np.angle(pz1))
 
+    phi1 = np.concatenate(phi1)
     return _Samples(
-        z2=np.concatenate(z2), r1=np.concatenate(r1), phi1=np.concatenate(phi1)
+        points=np.concatenate(points), src=np.concatenate(src), r1=np.concatenate(r1),
+        phi1=phi1, given=np.flatnonzero(~np.isnan(phi1)),
     )
 
 
-def _chunks(n: int) -> list[slice]:
-    return [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-
-
-def _map_chunks(fn, slices, workers: int):
+def _map_chunks(fn, n: int, workers: int) -> list:
+    """fn(slice) on consecutive slices of range(n), at most _CHUNK long, on
+    one thread pool when workers > 1; fn writes its results into arrays the
+    caller owns, at the disjoint slices."""
+    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, slices))
     return [fn(sl) for sl in slices]
 
 
-def _pick_witness(values: np.ndarray, keys: np.ndarray, depends_on_g: np.ndarray) -> int:
-    """Index of the minimum value; ties broken by lexicographic witness key.
-    NaN entries (refused samples) never win.  A scan in which every sample
-    whose value depends on g was refused carries no information and fails."""
-    valid = ~np.isnan(values)
-    if not (valid & depends_on_g).any():
+def _pick_witness(values: np.ndarray, key_rows, depends_on_g: np.ndarray) -> int:
+    """Index of the minimum value; ties broken by lexicographic witness key,
+    then by index.  key_rows(idx) returns the key rows of the indices idx
+    and is called for the tied minima only.  NaN entries (refused samples)
+    never win.  A scan in which every sample whose value depends on g was
+    refused carries no information and fails."""
+    if not (~np.isnan(values) & depends_on_g).any():
         raise ConfigError("every sample whose value depends on g was refused; nothing to report")
-    vmin = np.min(values[valid])
-    cand = np.flatnonzero(valid & (values == vmin))
-    best = min(cand, key=lambda i: tuple(keys[i]))
-    return int(best)
+    cand = np.flatnonzero(values == np.fmin.reduce(values))
+    keys = key_rows(cand)
+    return int(cand[min(range(cand.size), key=lambda i: tuple(keys[i]))])
 
 
 def _digest(kind: str, f: ShearingMap, cfg: SamplerConfig, refused: int, extra: str = "") -> str:
@@ -283,43 +293,50 @@ def starlike_scan(
     """Minimum of starlike_quantity over the sampling plan.  Violation means
     a minimum below the -1e-12 threshold; a starlike map never produces one."""
     cfg = sampler if sampler is not None else SamplerConfig()
-    samples = _build_samples(cfg)
-    n = samples.z2.size
+    pts, src, r1, phi1, given = _build_samples(cfg)
+    n = src.size
+
+    w = np.empty(pts.size, dtype=complex)
+    ok = np.empty(pts.size, dtype=bool)
 
     def run(sl: slice):
-        z2 = samples.z2[sl]
-        r1 = samples.r1[sl]
-        phi1 = samples.phi1[sl]
-        aligned = np.isnan(phi1)
+        z2 = pts[sl]
         with np.errstate(all="ignore"):
             g = f.g.eval_raw(z2)
-            w = g - z2 * f.g.deriv_raw(z2)
-            ok = f.g.log_abs_of(z2, g) <= SCAN_LOG_LIMIT
+            w[sl] = g - z2 * f.g.deriv_raw(z2)
+            ok[sl] = f.g.log_abs_of(z2, g) <= SCAN_LOG_LIMIT
             if f.g.deriv_log_abs_raw is not None:
-                ok &= np.asarray(f.g.deriv_log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
-            norm_sq = r1**2 + np.abs(z2) ** 2
-            absw = np.abs(w)
-            safe = np.where(absw > 0.0, absw, 1.0)
-            z1_aligned = np.where(absw > 0.0, -r1 * w / safe, r1.astype(complex))
-            z1_given = r1 * np.exp(1j * phi1)
-            values = np.where(
-                aligned, norm_sq - absw * r1, norm_sq + (w * np.conj(z1_given)).real
-            )
-        values[~(ok & np.isfinite(values))] = np.nan
-        z1 = np.where(ok, np.where(aligned, z1_aligned, z1_given), complex(np.nan, np.nan))
-        return values, z1
+                ok[sl] &= np.asarray(f.g.deriv_log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
 
-    parts = _map_chunks(run, _chunks(n), workers)
-    values = np.concatenate([p[0] for p in parts])
-    z1 = np.concatenate([p[1] for p in parts])
+    _map_chunks(run, pts.size, workers)
+    with np.errstate(all="ignore"):
+        absw = np.abs(w)
+        norm_sq = r1**2 + np.abs(pts[src]) ** 2
+        values = norm_sq - absw[src] * r1
+        z1_given = r1[given] * np.exp(1j * phi1[given])
+        values[given] = norm_sq[given] + (w[src[given]] * np.conj(z1_given)).real
+    values[~(ok[src] & np.isfinite(values))] = np.nan
     refused = int(np.isnan(values).sum())
-    keys = np.column_stack([z1.real, z1.imag, samples.z2.real, samples.z2.imag])
-    best = _pick_witness(values, keys, samples.z2 != 0.0)
-    witness = BallPoint(complex(z1[best]), complex(samples.z2[best]))
+
+    def z1_of(idx):
+        r, j = r1[idx], src[idx]
+        with np.errstate(all="ignore"):
+            safe = np.where(absw[j] > 0.0, absw[j], 1.0)
+            z1_aligned = np.where(absw[j] > 0.0, -r * w[j] / safe, r.astype(complex))
+            z1_given = r * np.exp(1j * phi1[idx])
+        z1 = np.where(np.isnan(phi1[idx]), z1_aligned, z1_given)
+        return np.where(ok[j], z1, complex(np.nan, np.nan))
+
+    def key_rows(idx):
+        z1, z2 = z1_of(idx), pts[src[idx]]
+        return np.column_stack([z1.real, z1.imag, z2.real, z2.imag])
+
+    best = _pick_witness(values, key_rows, (pts != 0.0)[src])
+    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best]]))
     extremum = starlike_quantity(f, witness)
     digest = _digest("starlike-scan", f, cfg, refused)
     if trace_path is not None:
-        s, t, p1, p2 = _trace_geometry(z1, samples.z2)
+        s, t, p1, p2 = _trace_geometry(z1_of(np.arange(n)), pts[src])
         _write_trace(
             trace_path, digest, ["s", "t", "phase1", "phase2", "value"],
             zip(s, t, p1, p2, values),
@@ -363,66 +380,74 @@ def eq1_scan(
     for a in avals:
         if not (0.0 < a <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {a!r}")
-    samples = _build_samples(cfg)
-    n = samples.z2.size
+    pts, src, r1, phi1, given = _build_samples(cfg)
+    n = src.size
     na = len(avals)
+    alpha_arr = np.asarray(avals)
+    # per point and alpha; the rows of alpha = 1 stay unused
+    ok = np.zeros((na, pts.size), dtype=bool)
+    certified = np.zeros_like(ok)
+    c = np.zeros(ok.shape, dtype=complex)
 
     def run(sl: slice):
-        z2 = samples.z2[sl]
-        r1 = samples.r1[sl]
-        phi1 = samples.phi1[sl]
-        values = np.empty((na, z2.size))
-        z1_act = np.empty((na, z2.size), dtype=complex)
-        a2sq = np.abs(z2) ** 2
-        aligned = np.isnan(phi1)
+        z2 = pts[sl]
         with np.errstate(all="ignore"):
-            z1_given = r1 * np.exp(1j * phi1)
             g2 = f.g.eval_raw(z2)
             la2 = f.g.log_abs_of(z2, g2)
-        z1_plain = np.where(aligned, r1.astype(complex), z1_given)
+            for i, a in enumerate(avals):
+                if a == 1.0:
+                    continue
+                ga = f.g.eval_raw(a * z2)
+                laa = f.g.log_abs_of(a * z2, ga) - math.log(a)
+                ok[i, sl] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
+                # one term out of double range: certify the sign when it
+                # dominates the other, refuse (NaN) otherwise
+                certified[i, sl] = (~ok[i, sl]) & (
+                    np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
+                )
+                c[i, sl] = g2 - ga / a
+
+    _map_chunks(run, pts.size, workers)
+    a2sq = np.abs(pts[src]) ** 2
+    values = np.empty((na, n))
+    with np.errstate(all="ignore"):
+        absc = np.abs(c)
+        z1_given = r1[given] * np.exp(1j * phi1[given])
         for i, a in enumerate(avals):
             if a == 1.0:
                 values[i] = 1.0 - (r1 * r1 + a2sq)
-                z1_act[i] = z1_plain
                 continue
-            with np.errstate(all="ignore"):
-                ga = f.g.eval_raw(a * z2)
-                laa = f.g.log_abs_of(a * z2, ga) - math.log(a)
-                ok = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
-                # one term out of double range: certify the sign when it
-                # dominates the other, refuse (NaN) otherwise
-                certified = (~ok) & (
-                    np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
-                )
-                c = g2 - ga / a
-                absc = np.abs(c)
-                safe = np.where(absc > 0.0, absc, 1.0)
-                z1a = np.where(absc > 0.0, r1 * c / safe, r1.astype(complex))
-                mm = np.where(aligned, r1 + absc, np.abs(z1_given + c))
-                vals = 1.0 / (a * a) - (mm * mm + a2sq)
-            values[i] = np.where(ok, vals, np.where(certified, -math.inf, np.nan))
-            z1_act[i] = np.where(
-                ok, np.where(aligned, z1a, z1_given),
-                np.where(certified, z1_plain, complex(np.nan, np.nan)),
-            )
-        return values, z1_act
-
-    parts = _map_chunks(run, _chunks(n), workers)
-    values = np.concatenate([p[0] for p in parts], axis=1)
-    z1_act = np.concatenate([p[1] for p in parts], axis=1)
+            mm = r1 + absc[i][src]
+            mm[given] = np.abs(z1_given + c[i][src[given]])
+            values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
+            values[i][~ok[i][src]] = np.nan
+            values[i][certified[i][src]] = -math.inf
     refused = int(np.isnan(values).sum())
-
     flat = values.ravel()
-    z1_flat = z1_act.ravel()
-    z2_flat = np.broadcast_to(samples.z2, values.shape).ravel()
-    alpha_flat = np.repeat(np.asarray(avals), n)
-    keys = np.column_stack(
-        [z1_flat.real, z1_flat.imag, z2_flat.real, z2_flat.imag, alpha_flat]
-    )
-    depends_on_g = (alpha_flat < 1.0) & (z2_flat != 0.0)
-    best = _pick_witness(flat, keys, depends_on_g)
-    witness = BallPoint(complex(z1_flat[best]), complex(z2_flat[best]))
-    alpha_star = float(alpha_flat[best])
+
+    def z1_of(pairs):
+        """z1 of the flat (alpha, sample) indices pairs, by the scan's rule."""
+        i, j = np.divmod(np.asarray(pairs), n)
+        r, p, aligned = r1[j], src[j], np.isnan(phi1[j])
+        with np.errstate(all="ignore"):
+            z1_given = r * np.exp(1j * phi1[j])
+            safe = np.where(absc[i, p] > 0.0, absc[i, p], 1.0)
+            z1a = np.where(absc[i, p] > 0.0, r * c[i, p] / safe, r.astype(complex))
+        z1_plain = np.where(aligned, r.astype(complex), z1_given)
+        z1 = np.where(
+            ok[i, p], np.where(aligned, z1a, z1_given),
+            np.where(certified[i, p], z1_plain, complex(np.nan, np.nan)),
+        )
+        return np.where(alpha_arr[i] == 1.0, z1_plain, z1)
+
+    def key_rows(idx):
+        z1, z2 = z1_of(idx), pts[src[idx % n]]
+        return np.column_stack([z1.real, z1.imag, z2.real, z2.imag, alpha_arr[idx // n]])
+
+    depends_on_g = ((alpha_arr < 1.0)[:, None] & (pts != 0.0)[src]).ravel()
+    best = _pick_witness(flat, key_rows, depends_on_g)
+    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best % n]]))
+    alpha_star = avals[best // n]
     extremum = float(flat[best])
     if math.isfinite(extremum):
         extremum = eq1_residual(f, alpha_star, witness)
@@ -432,10 +457,10 @@ def eq1_scan(
     )
     digest = _digest("eq1-scan", f, cfg, refused, extra=extra)
     if trace_path is not None:
-        s, t, p1, p2 = _trace_geometry(z1_flat, z2_flat)
+        s, t, p1, p2 = _trace_geometry(z1_of(np.arange(na * n)), np.tile(pts[src], na))
         _write_trace(
             trace_path, digest, ["alpha", "s", "t", "phase1", "phase2", "value"],
-            zip(alpha_flat, s, t, p1, p2, flat),
+            zip(np.repeat(alpha_arr, n), s, t, p1, p2, flat),
         )
     return ScanReport(
         kind="eq1-scan",

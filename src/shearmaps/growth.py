@@ -124,7 +124,8 @@ def growth_conformance_scan(
     The norm depends only on |g'(z2)|, and g' is holomorphic, so by the
     maximum modulus principle its sup over the disk |z2| <= r is attained on
     the circle |z2| = r; the scan samples that circle at n_angular uniform
-    angles.  workers spreads the radii over threads."""
+    angles.  All circles are evaluated as one array, in point chunks that
+    workers spreads over threads."""
     cert = starlike_certificate(f)
     if not cert.certified:
         raise UncertifiedMapError(
@@ -140,15 +141,15 @@ def growth_conformance_scan(
     if n_angular < 1:
         raise ConfigError(f"n_angular must be >= 1, got {n_angular}")
     phi = np.arange(n_angular) * (2.0 * math.pi / n_angular)
-    ring = np.exp(1j * phi)
+    z2 = (np.asarray(rs)[:, None] * np.exp(1j * phi)).ravel()
+    m = np.empty(z2.size)
 
-    def record(r: float) -> GrowthRecord:
-        m = float(np.max(np.abs(f.g.deriv_raw(r * ring))))
-        sup_norm = unipotent_opnorm(m)
-        bound = s0_growth_bound(r)
-        return GrowthRecord(
-            r=r, sup_norm=sup_norm, bound=bound,
-            conforms=sup_norm <= bound + CONFORMANCE_TOLERANCE,
-        )
+    def run(sl: slice):
+        m[sl] = np.abs(f.g.deriv_raw(z2[sl]))
 
-    return _map_chunks(record, rs, workers)
+    _map_chunks(run, z2.size, workers)
+    sups = [unipotent_opnorm(float(x)) for x in m.reshape(len(rs), n_angular).max(axis=1)]
+    return [
+        GrowthRecord(r=r, sup_norm=s, bound=b, conforms=s <= b + CONFORMANCE_TOLERANCE)
+        for r, s, b in zip(rs, sups, map(s0_growth_bound, rs))
+    ]

@@ -14,6 +14,7 @@ from the computed value, so each point is evaluated once.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -127,20 +128,38 @@ class CoefficientSeries:
         return self.coeffs[i] if i < len(self.coeffs) else 0.0j
 
 
+def _horner_loop(terms, z):
+    # p = p * z + t over the terms from p = 0 * z, bit for bit: the first
+    # step allocates p with the result dtype, later ones update it in place,
+    # except on one point, which numpy multiplies in place without the fused
+    # multiply-add of its out-of-place loop (another rounding).
+    p = 0.0 * z
+    in_place = isinstance(z, np.ndarray) and z.size > 1
+    for i, t in enumerate(terms):
+        if in_place and i:
+            p *= z
+            p += t
+        else:
+            p = p * z + t
+    return p
+
+
 def _horner(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} a_k z^k  ==  z^2 * (a_2 + z*(a_3 + ...)), scalar or ndarray
-    p = 0.0 * z
-    for a in reversed(coeffs):
-        p = p * z + a
-    return p * z * z
+    return _horner_loop(reversed(coeffs), z) * z * z
 
 
 def _horner_deriv(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} k a_k z^(k-1)  ==  z * (2 a_2 + z*(3 a_3 + ...))
-    p = 0.0 * z
-    for k in range(len(coeffs) + _COEFF_START - 1, _COEFF_START - 1, -1):
-        p = p * z + k * coeffs[k - _COEFF_START]
-    return p * z
+    terms = (k * a for k, a in reversed(list(enumerate(coeffs, start=_COEFF_START))))
+    p = _horner_loop(terms, z) * z
+    # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
+    # would make it NaN.  Only non-finite results at z = 0 are replaced.
+    if isinstance(p, np.ndarray):
+        p[(z == 0) & ~np.isfinite(p)] = 0
+    elif z == 0 and not cmath.isfinite(p):
+        p = 0j
+    return p
 
 
 def series_eval(series: CoefficientSeries, zeta) -> complex:
@@ -155,25 +174,31 @@ def series_deriv_eval(series: CoefficientSeries, zeta) -> complex:
     return complex(_horner_deriv(series.coeffs, z))
 
 
-def coeff_sum_s1(series: CoefficientSeries) -> float:
-    """sum_k k|a_k| plus the declared tail bound; inf marks a non-finite sum."""
-    total = math.fsum(
-        k * abs(a) for k, a in enumerate(series.coeffs, start=_COEFF_START)
-    )
+def _sum_with_tail(terms, series: CoefficientSeries) -> float:
+    """fsum of nonnegative terms plus the declared tail bound; inf when the
+    sum leaves double range (fsum raises on an intermediate overflow)."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        return math.inf
     if series.tail_bound is not None:
         total += series.tail_bound
     return total
+
+
+def coeff_sum_s1(series: CoefficientSeries) -> float:
+    """sum_k k|a_k| plus the declared tail bound; inf marks a non-finite sum."""
+    return _sum_with_tail(
+        (k * abs(a) for k, a in enumerate(series.coeffs, start=_COEFF_START)), series
+    )
 
 
 def coeff_sum_s2(series: CoefficientSeries) -> float:
     """sum_k (k-1)|a_k| plus the declared tail bound (a valid upper bound,
     since (k-1)|a_k| <= k|a_k|); inf marks a non-finite sum."""
-    total = math.fsum(
-        (k - 1) * abs(a) for k, a in enumerate(series.coeffs, start=_COEFF_START)
+    return _sum_with_tail(
+        ((k - 1) * abs(a) for k, a in enumerate(series.coeffs, start=_COEFF_START)), series
     )
-    if series.tail_bound is not None:
-        total += series.tail_bound
-    return total
 
 
 def tail_sum(series: CoefficientSeries, n: int) -> float:
@@ -181,14 +206,10 @@ def tail_sum(series: CoefficientSeries, n: int) -> float:
     declared tail bound (which covers every index past M >= N)."""
     if n < 1:
         raise DomainError(f"N must be >= 1, got {n}")
-    total = math.fsum(
-        k * abs(a)
-        for k, a in enumerate(series.coeffs, start=_COEFF_START)
-        if k > n
+    return _sum_with_tail(
+        (k * abs(a) for k, a in enumerate(series.coeffs, start=_COEFF_START) if k > n),
+        series,
     )
-    if series.tail_bound is not None:
-        total += series.tail_bound
-    return total
 
 
 def re_inner(u, v) -> float:

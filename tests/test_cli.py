@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometric_series
@@ -297,6 +297,8 @@ _FUZZ_COMMANDS = (
         min_size=1, max_size=6,
     ),
 )
+# coefficient sums whose partial sums overflow inside math.fsum
+@example(terms=[(0.0, 0.0), (307.0, 0.0), (307.75, 0.0)])
 def test_exit_codes_on_fuzzed_specs(terms):
     """Any spec with coefficients from 1e-300 to 1e308 ends in exit 0, 1 or
     2 without an exception, and exit 1 always comes with a finding row."""

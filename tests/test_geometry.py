@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometric_shear, monomial_shear, random_ball_points
@@ -22,10 +24,12 @@ from shearmaps import (
     disk_function_from_callables,
     eq1_residual,
     eq1_scan,
+    identity_shear,
     shear_from_series,
     starlike_quantity,
     starlike_scan,
 )
+from shearmaps.geometry import _CHUNK, _build_samples
 from shearmaps.series import _horner, re_inner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
@@ -331,29 +335,44 @@ def counted_shear(f):
     return wrapped, counts
 
 
-def test_scans_evaluate_each_point_once():
-    """A series map derives log|g| from the value it computed: the starlike
-    scan costs g and g' once per sample, the eq1 scan g(z2) once plus
-    g(a z2) once per alpha < 1, and neither calls a log evaluator.  The
-    closed-form counterexample still screens with both of its own."""
-    n = SMALL.sample_count
-    f, counts = counted_shear(geometric_shear())
-    starlike_scan(f, sampler=SMALL)
-    # the witness is re-evaluated once through starlike_quantity
-    assert counts == {"eval_raw": n + 1, "deriv_raw": n + 1}
-    counts.clear()
-    alphas = default_alpha_grid()
-    report = eq1_scan(f, alphas=alphas, sampler=SMALL)
-    witness = 2 if report.alpha < 1.0 and math.isfinite(report.extremum) else 0
-    below_one = sum(a < 1.0 for a in alphas)
-    assert counts == {"eval_raw": n * (1 + below_one) + witness}
+# two probes at z2 = 0 (also a structured z2), two sharing z2 = 0.5i
+_PROBED = dataclasses.replace(
+    SMALL, probes=((0.1, 0.0), (0.2j, 0.0), (0.0, 0.3), (0.3j, 0.5j), (0.1, 0.5j))
+)
 
-    f, counts = counted_shear(counterexample_map())
-    starlike_scan(f, sampler=SMALL)
-    assert counts == dict.fromkeys(KERNELS, n + 1)
-    counts.clear()
-    eq1_scan(f, alphas=alphas, sampler=SMALL)
-    assert counts["log_abs_raw"] == counts["eval_raw"] >= n * (1 + below_one)
+
+def test_scans_evaluate_each_point_once():
+    """Kernels see each distinct z2 of the plan once: the structured grid,
+    each random z2 and each probe z2 (a random point and a probe enter the
+    plan twice, with z1 as given and realigned, but share one z2).  A series
+    map derives log|g| from the value it computed: the starlike scan costs
+    g and g' once per point, the eq1 scan g(z2) once plus g(a z2) once per
+    alpha < 1, and neither calls a log evaluator.  The closed-form
+    counterexample still screens with both of its own."""
+    alphas = default_alpha_grid()
+    below_one = sum(a < 1.0 for a in alphas)
+    for cfg in (SMALL, _PROBED):
+        points = cfg.sample_count - cfg.n_random - len(cfg.probes)
+
+        def eq1_count(report):
+            # the witness is re-evaluated through eq1_residual when finite
+            witness = 2 if report.alpha < 1.0 and math.isfinite(report.extremum) else 0
+            return points * (1 + below_one) + witness
+
+        f, counts = counted_shear(geometric_shear())
+        starlike_scan(f, sampler=cfg)
+        # the witness is re-evaluated once through starlike_quantity
+        assert counts == {"eval_raw": points + 1, "deriv_raw": points + 1}
+        counts.clear()
+        report = eq1_scan(f, alphas=alphas, sampler=cfg)
+        assert counts == {"eval_raw": eq1_count(report)}
+
+        f, counts = counted_shear(counterexample_map())
+        starlike_scan(f, sampler=cfg)
+        assert counts == dict.fromkeys(KERNELS, points + 1)
+        counts.clear()
+        report = eq1_scan(f, alphas=alphas, sampler=cfg)
+        assert counts == dict.fromkeys(("eval_raw", "log_abs_raw"), eq1_count(report))
 
 
 _TINY = SamplerConfig(radius=0.95, n_radial=3, n_split=3, n_phase=2, n_random=30)
@@ -393,3 +412,38 @@ def test_derived_log_matches_explicit_evaluator(terms):
     ))
     for scan in (starlike_scan, eq1_scan):
         assert _scan_outcome(scan, derived) == _scan_outcome(scan, explicit)
+
+
+# 16 structured points; the probes add two more
+_WIDE = SamplerConfig(radius=0.95, n_radial=2, n_split=3, n_phase=2, n_random=0)
+_STRADDLE = _CHUNK - 16 - 2
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    shear=st.sampled_from([geometric_shear, lambda: monomial_shear(2.7), identity_shear,
+                           counterexample_map]),
+    n_random=st.one_of(st.integers(1, 40), st.integers(_STRADDLE - 1, _STRADDLE + 2)),
+    seed=st.integers(0, 2**32),
+    reuse=st.integers(0, 2**16),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+# one point past the first chunk, which leaves the z2 = 0 probe to the second
+@example(shear=geometric_shear, n_random=_STRADDLE + 1, seed=0, reuse=7, phase=1.0)
+def test_reports_and_traces_identical_for_any_workers(shear, n_random, seed, reuse, phase):
+    """Reports and trace bytes do not depend on the worker count, also when
+    the distinct points straddle a chunk boundary, a probe repeats a random
+    z2 with its own z1, and a probe sits at z2 = 0."""
+    f = shear()
+    plain = dataclasses.replace(_WIDE, n_random=n_random, seed=seed)
+    z2 = complex(_build_samples(plain).points[16 + reuse % n_random])
+    z1 = 0.5 * math.sqrt(1.0 - abs(z2) ** 2) * complex(math.cos(phase), math.sin(phase))
+    cfg = dataclasses.replace(plain, probes=((z1, z2), (0.3 + 0.1j, 0.0)))
+    with tempfile.TemporaryDirectory() as tmp:
+        for scan, kw in ((starlike_scan, {}), (eq1_scan, {"alphas": (0.5, 1.0)})):
+            outcomes = []
+            for workers in (1, 2, 3):
+                path = Path(tmp) / f"w{workers}.csv"
+                report = scan(f, sampler=cfg, workers=workers, trace_path=path, **kw)
+                outcomes.append((report, path.read_bytes()))
+            assert outcomes[0] == outcomes[1] == outcomes[2]

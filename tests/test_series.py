@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     GEOMETRIC_M,
@@ -22,11 +25,12 @@ from shearmaps import (
     coeff_sum_s1,
     coeff_sum_s2,
     disk_function_from_callables,
+    disk_function_from_series,
     dump_series_spec,
     parse_series_spec,
     tail_sum,
 )
-from shearmaps.series import series_deriv_eval, series_eval
+from shearmaps.series import _horner, _horner_deriv, series_deriv_eval, series_eval
 
 
 def test_geometric_eval_matches_closed_form():
@@ -211,3 +215,83 @@ def test_overflow_refusal():
     )
     assert tame.eval(0.5) == 0.25
     assert tame.deriv(0.5) == 1.0
+    # 2 a_2 overflows to inf, yet g'(0) = 0 exactly (not inf * 0 = NaN),
+    # for scalars and arrays; away from 0 the overflow is still refused
+    big = disk_function_from_series(
+        parse_series_spec('{"start": 2, "coeffs": [[1e308, 1e308]]}')
+    )
+    assert big.deriv(0j) == 0.0
+    assert big.deriv_raw(0.0) == 0.0
+    with np.errstate(all="ignore"):
+        d = big.deriv_raw(np.array([0j, -0.0 + 0j, 0.5j, 0.5]))
+    assert np.array_equal(d[:2], [0.0, 0.0])
+    assert not np.isfinite(d[2:]).any()
+    with pytest.raises(OverflowRefusalError):
+        big.deriv(0.5)
+
+
+# ---------------------------------------------------------------------------
+# in-place Horner against the out-of-place reference
+
+
+def reference_horner(coeffs, z):
+    p = 0.0 * z
+    for a in reversed(coeffs):
+        p = p * z + a
+    return p * z * z
+
+
+def reference_horner_deriv(coeffs, z):
+    p = 0.0 * z
+    for k in range(len(coeffs) + 1, 1, -1):
+        p = p * z + k * coeffs[k - 2]
+    p = p * z
+    # g'(0) = 0: only a non-finite result at z = 0 (inf * 0) is replaced
+    if isinstance(p, np.ndarray):
+        p[(z == 0) & ~np.isfinite(p)] = 0
+    elif z == 0 and not (math.isfinite(p.real) and math.isfinite(p.imag)):
+        p = 0j
+    return p
+
+
+def assert_same_bits(got, want):
+    """Bitwise equality, NaN-aware: the same type, dtype and shape, NaN at
+    the same places, and every other float (signed zeros too) identical."""
+    assert type(got) is type(want)
+    a, b = np.atleast_1d(np.asarray(got)), np.atleast_1d(np.asarray(want))
+    assert a.dtype == b.dtype and a.shape == b.shape
+    a, b = a.view(np.float64), b.view(np.float64)
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+_anyfloat = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e308, -1e-320]))
+_point = st.one_of(
+    st.builds(complex, _anyfloat, _anyfloat),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+_coeff = st.one_of(
+    st.builds(complex, st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+_z = st.one_of(
+    hnp.arrays(np.complex128, st.integers(0, 12), elements=_point),
+    hnp.arrays(np.float64, st.integers(0, 12), elements=_anyfloat),
+    _point,
+    _anyfloat,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_coeff, max_size=12).map(tuple), z=_z)
+def test_in_place_horner_matches_reference_bitwise(coeffs, z):
+    """The in-place kernels return what the out-of-place loops return, bit
+    for bit, for complex and real arrays and Python complex and float
+    scalars, including zeros of either sign, overflow, inf and NaN."""
+    with np.errstate(all="ignore"):
+        for kernel, reference in (
+            (_horner, reference_horner), (_horner_deriv, reference_horner_deriv)
+        ):
+            want = reference(coeffs, z.copy() if isinstance(z, np.ndarray) else z)
+            assert_same_bits(kernel(coeffs, z), want)
