@@ -347,7 +347,7 @@ def _add_output_args(parser):
     parser.add_argument("--out", metavar="PATH", help="write report here (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="thread count for scans and growth-scan")
+                        help="accepted for compatibility; no effect, scans run on one thread")
 
 
 def _add_sampler_args(parser):
@@ -445,10 +445,8 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return run(cfg)
-    except ShearmapsError as exc:
-        print(f"shearmaps: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ShearmapsError, OSError, MemoryError) as exc:
+        # MemoryError: a grid or sampler too large to allocate
         print(f"shearmaps: error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,14 +17,16 @@ The scans sample sphere-stratified structured grids (radius s, split
 |z2|^2 = t s^2, phase of z2; the phase of z1 is chosen adversarially, which
 is exact because the quantity depends on z1 only through its modulus and one
 relative phase), plus seeded random points and user probes (each evaluated
-both as given and with the phase of z1 adversarially realigned).  Reductions
-are ordered and partition-independent: minima with ties broken by
-lexicographic witness order, so reports are byte-identical for any worker
-count.
+both as given and with the phase of z1 adversarially realigned).  The
+probe-free part of the plan depends only on the sampler's dimensions and
+seed and is cached, read-only.  Minima are reduced with ties broken by
+lexicographic witness order, so reports are reproducible byte for byte.
+The scans run on one thread; their `workers` argument is accepted for
+compatibility and has no effect.
 
 The kernels see each distinct z2 of the plan once (both copies of a random
 point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) for every
-alpha < 1 are evaluated on chunks of points, and only the arithmetic that
+alpha < 1 are evaluated as whole arrays, and only the arithmetic that
 involves z1 runs per sample.  The witness z1 and the lexicographic keys are
 built for the tied minima only (for every sample only when a trace is
 written).  Values whose log-magnitudes exceed a screening limit are not
@@ -38,8 +40,8 @@ depends on g was refused is an error.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -64,8 +66,6 @@ _LOG_DOMINANCE_MARGIN = 30.0
 
 # Extremal split |z2|^2 / s^2 for monomial shears; always kept in the t-grid.
 _EXTREMAL_SPLIT = 2.0 / 3.0
-
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -184,53 +184,51 @@ class _Samples(NamedTuple):
     given: np.ndarray   # indices of the samples with a given phase
 
 
-def _build_samples(cfg: SamplerConfig) -> _Samples:
-    s_grid = np.linspace(cfg.radius / cfg.n_radial, cfg.radius, cfg.n_radial)
-    t_grid = _split_grid(cfg.n_split)
-    p_grid = np.arange(cfg.n_phase) * (2.0 * math.pi / cfg.n_phase)
-    s, t, phi2 = (a.ravel() for a in np.meshgrid(s_grid, t_grid, p_grid, indexing="ij"))
-    points = [s * np.sqrt(t) * np.exp(1j * phi2)]
-    src = [np.arange(s.size)]
-    r1 = [s * np.sqrt(1.0 - t)]
-    phi1 = [np.full(s.size, np.nan)]
-
-    def add_twice(z2, z1_abs, z1_phase):
-        # one point, two samples: z1 as given, and z1 realigned
-        first = sum(p.size for p in points)
-        points.append(z2)
-        src.extend([np.arange(first, first + z2.size)] * 2)
-        r1.extend([z1_abs, z1_abs])
-        phi1.extend([z1_phase, np.full(z2.size, np.nan)])
-
-    if cfg.n_random:
-        rng = np.random.default_rng(cfg.seed)
-        rs = cfg.radius * rng.random(cfg.n_random) ** 0.25
-        rt = rng.random(cfg.n_random)
-        rp1 = 2.0 * math.pi * rng.random(cfg.n_random)
-        rp2 = 2.0 * math.pi * rng.random(cfg.n_random)
-        add_twice(rs * np.sqrt(rt) * np.exp(1j * rp2), rs * np.sqrt(1.0 - rt), rp1)
-
-    if cfg.probes:
-        pz1 = np.asarray([p.z1 for p in cfg.probes], dtype=complex)
-        pz2 = np.asarray([p.z2 for p in cfg.probes], dtype=complex)
-        add_twice(pz2, np.abs(pz1), np.angle(pz1))
-
-    phi1 = np.concatenate(phi1)
+def _add_twice(base: _Samples, z2, z1_abs, z1_phase) -> _Samples:
+    """base plus the points z2, each sampled twice: with z1 as given
+    (modulus z1_abs, phase z1_phase) and with z1 realigned."""
+    idx = np.arange(base.points.size, base.points.size + z2.size)
+    phi1 = np.concatenate([base.phi1, z1_phase, np.full(z2.size, np.nan)])
     return _Samples(
-        points=np.concatenate(points), src=np.concatenate(src), r1=np.concatenate(r1),
-        phi1=phi1, given=np.flatnonzero(~np.isnan(phi1)),
+        points=np.concatenate([base.points, z2]), src=np.concatenate([base.src, idx, idx]),
+        r1=np.concatenate([base.r1, z1_abs, z1_abs]), phi1=phi1,
+        given=np.flatnonzero(~np.isnan(phi1)),
     )
 
 
-def _map_chunks(fn, n: int, workers: int) -> list:
-    """fn(slice) on consecutive slices of range(n), at most _CHUNK long, on
-    one thread pool when workers > 1; fn writes its results into arrays the
-    caller owns, at the disjoint slices."""
-    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, slices))
-    return [fn(sl) for sl in slices]
+@functools.lru_cache(maxsize=4)
+def _plan(radius, n_radial, n_split, n_phase, n_random, seed) -> _Samples:
+    """The structured grid and the random points, read-only.  Keyed on the
+    numbers alone: probes stay out, because BallPoint(0, -0.0) equals and
+    hashes like BallPoint(0, 0.0), and a cached probe would change a signed
+    zero in a later report."""
+    s_grid = np.linspace(radius / n_radial, radius, n_radial)
+    t_grid = _split_grid(n_split)
+    p_grid = np.arange(n_phase) * (2.0 * math.pi / n_phase)
+    s, t, phi2 = (a.ravel() for a in np.meshgrid(s_grid, t_grid, p_grid, indexing="ij"))
+    plan = _Samples(
+        points=s * np.sqrt(t) * np.exp(1j * phi2), src=np.arange(s.size),
+        r1=s * np.sqrt(1.0 - t), phi1=np.full(s.size, np.nan), given=np.arange(0),
+    )
+    if n_random:
+        rng = np.random.default_rng(seed)
+        rs = radius * rng.random(n_random) ** 0.25
+        rt = rng.random(n_random)
+        rp1 = 2.0 * math.pi * rng.random(n_random)
+        rp2 = 2.0 * math.pi * rng.random(n_random)
+        plan = _add_twice(plan, rs * np.sqrt(rt) * np.exp(1j * rp2), rs * np.sqrt(1.0 - rt), rp1)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _build_samples(cfg: SamplerConfig) -> _Samples:
+    plan = _plan(cfg.radius, cfg.n_radial, cfg.n_split, cfg.n_phase, cfg.n_random, cfg.seed)
+    if not cfg.probes:
+        return plan
+    pz1 = np.asarray([p.z1 for p in cfg.probes], dtype=complex)
+    pz2 = np.asarray([p.z2 for p in cfg.probes], dtype=complex)
+    return _add_twice(plan, pz2, np.abs(pz1), np.angle(pz1))
 
 
 def _pick_witness(values: np.ndarray, key_rows, depends_on_g: np.ndarray) -> int:
@@ -291,25 +289,17 @@ def starlike_scan(
     trace_path=None,
 ) -> ScanReport:
     """Minimum of starlike_quantity over the sampling plan.  Violation means
-    a minimum below the -1e-12 threshold; a starlike map never produces one."""
+    a minimum below the -1e-12 threshold; a starlike map never produces one.
+    workers is accepted for compatibility and has no effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
     pts, src, r1, phi1, given = _build_samples(cfg)
     n = src.size
-
-    w = np.empty(pts.size, dtype=complex)
-    ok = np.empty(pts.size, dtype=bool)
-
-    def run(sl: slice):
-        z2 = pts[sl]
-        with np.errstate(all="ignore"):
-            g = f.g.eval_raw(z2)
-            w[sl] = g - z2 * f.g.deriv_raw(z2)
-            ok[sl] = f.g.log_abs_of(z2, g) <= SCAN_LOG_LIMIT
-            if f.g.deriv_log_abs_raw is not None:
-                ok[sl] &= np.asarray(f.g.deriv_log_abs_raw(z2), dtype=float) <= SCAN_LOG_LIMIT
-
-    _map_chunks(run, pts.size, workers)
     with np.errstate(all="ignore"):
+        g = f.g.eval_raw(pts)
+        w = g - pts * f.g.deriv_raw(pts)
+        ok = f.g.log_abs_of(pts, g) <= SCAN_LOG_LIMIT
+        if f.g.deriv_log_abs_raw is not None:
+            ok &= np.asarray(f.g.deriv_log_abs_raw(pts), dtype=float) <= SCAN_LOG_LIMIT
         absw = np.abs(w)
         norm_sq = r1**2 + np.abs(pts[src]) ** 2
         values = norm_sq - absw[src] * r1
@@ -372,7 +362,8 @@ def eq1_scan(
     necessary-condition check only: a violation disproves starlikeness, while
     a clean scan proves nothing.  Samples out of double range are certified
     in log-magnitude arithmetic when one term dominates (residual -inf) and
-    refused otherwise."""
+    refused otherwise.  workers is accepted for compatibility and has no
+    effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
     avals = tuple(float(a) for a in (alphas if alphas is not None else default_alpha_grid()))
     if not avals:
@@ -384,40 +375,30 @@ def eq1_scan(
     n = src.size
     na = len(avals)
     alpha_arr = np.asarray(avals)
+    a2sq = np.abs(pts[src]) ** 2
+    values = np.empty((na, n))
     # per point and alpha; the rows of alpha = 1 stay unused
     ok = np.zeros((na, pts.size), dtype=bool)
     certified = np.zeros_like(ok)
     c = np.zeros(ok.shape, dtype=complex)
-
-    def run(sl: slice):
-        z2 = pts[sl]
-        with np.errstate(all="ignore"):
-            g2 = f.g.eval_raw(z2)
-            la2 = f.g.log_abs_of(z2, g2)
-            for i, a in enumerate(avals):
-                if a == 1.0:
-                    continue
-                ga = f.g.eval_raw(a * z2)
-                laa = f.g.log_abs_of(a * z2, ga) - math.log(a)
-                ok[i, sl] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
-                # one term out of double range: certify the sign when it
-                # dominates the other, refuse (NaN) otherwise
-                certified[i, sl] = (~ok[i, sl]) & (
-                    np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
-                )
-                c[i, sl] = g2 - ga / a
-
-    _map_chunks(run, pts.size, workers)
-    a2sq = np.abs(pts[src]) ** 2
-    values = np.empty((na, n))
     with np.errstate(all="ignore"):
-        absc = np.abs(c)
+        g2 = f.g.eval_raw(pts)
+        la2 = f.g.log_abs_of(pts, g2)
         z1_given = r1[given] * np.exp(1j * phi1[given])
         for i, a in enumerate(avals):
             if a == 1.0:
                 values[i] = 1.0 - (r1 * r1 + a2sq)
                 continue
-            mm = r1 + absc[i][src]
+            ga = f.g.eval_raw(a * pts)
+            laa = f.g.log_abs_of(a * pts, ga) - math.log(a)
+            ok[i] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
+            # one term out of double range: certify the sign when it
+            # dominates the other, refuse (NaN) otherwise
+            certified[i] = (~ok[i]) & (
+                np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
+            )
+            c[i] = g2 - ga / a
+            mm = r1 + np.abs(c[i])[src]
             mm[given] = np.abs(z1_given + c[i][src[given]])
             values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
             values[i][~ok[i][src]] = np.nan
@@ -430,9 +411,10 @@ def eq1_scan(
         i, j = np.divmod(np.asarray(pairs), n)
         r, p, aligned = r1[j], src[j], np.isnan(phi1[j])
         with np.errstate(all="ignore"):
+            absc = np.abs(c[i, p])
             z1_given = r * np.exp(1j * phi1[j])
-            safe = np.where(absc[i, p] > 0.0, absc[i, p], 1.0)
-            z1a = np.where(absc[i, p] > 0.0, r * c[i, p] / safe, r.astype(complex))
+            safe = np.where(absc > 0.0, absc, 1.0)
+            z1a = np.where(absc > 0.0, r * c[i, p] / safe, r.astype(complex))
         z1_plain = np.where(aligned, r.astype(complex), z1_given)
         z1 = np.where(
             ok[i, p], np.where(aligned, z1a, z1_given),

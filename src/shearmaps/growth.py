@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, UncertifiedMapError
-from .geometry import _map_chunks
 from .series import as_ball_point
 from .shear import Jacobian2, ShearingMap, starlike_certificate
 
@@ -124,8 +123,9 @@ def growth_conformance_scan(
     The norm depends only on |g'(z2)|, and g' is holomorphic, so by the
     maximum modulus principle its sup over the disk |z2| <= r is attained on
     the circle |z2| = r; the scan samples that circle at n_angular uniform
-    angles.  All circles are evaluated as one array, in point chunks that
-    workers spreads over threads."""
+    angles.  All circles are evaluated as one array.  workers is accepted
+    for compatibility and has no effect: a worker pool measured slower than
+    one thread, and the records never depended on it."""
     cert = starlike_certificate(f)
     if not cert.certified:
         raise UncertifiedMapError(
@@ -142,13 +142,8 @@ def growth_conformance_scan(
         raise ConfigError(f"n_angular must be >= 1, got {n_angular}")
     phi = np.arange(n_angular) * (2.0 * math.pi / n_angular)
     z2 = (np.asarray(rs)[:, None] * np.exp(1j * phi)).ravel()
-    m = np.empty(z2.size)
-
-    def run(sl: slice):
-        m[sl] = np.abs(f.g.deriv_raw(z2[sl]))
-
-    _map_chunks(run, z2.size, workers)
-    sups = [unipotent_opnorm(float(x)) for x in m.reshape(len(rs), n_angular).max(axis=1)]
+    m = np.abs(f.g.deriv_raw(z2)).reshape(len(rs), n_angular).max(axis=1)
+    sups = [unipotent_opnorm(float(x)) for x in m]
     return [
         GrowthRecord(r=r, sup_norm=s, bound=b, conforms=s <= b + CONFORMANCE_TOLERANCE)
         for r, s, b in zip(rs, sups, map(s0_growth_bound, rs))

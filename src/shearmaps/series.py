@@ -35,6 +35,9 @@ OVERFLOW_LOG_THRESHOLD = 700.0
 
 _COEFF_START = 2
 
+# Points per block of the Horner kernels (see _blockwise).
+_BLOCK = 8192
+
 
 def require_finite_complex(value, what: str = "value") -> complex:
     z = complex(value)
@@ -144,22 +147,44 @@ def _horner_loop(terms, z):
     return p
 
 
+def _blockwise(kernel, z):
+    """kernel(z); an array of more than _BLOCK points goes block by block
+    into one result array.  Horner passes over its array once per
+    coefficient, and a block stays in cache across the passes.  The kernels
+    are elementwise, so no bit depends on the blocks."""
+    if not isinstance(z, np.ndarray) or z.size <= _BLOCK:
+        return kernel(z)
+    flat = z.ravel()
+    out = None
+    for start in range(0, flat.size, _BLOCK):
+        p = kernel(flat[start:start + _BLOCK])
+        if out is None:  # the first block fixes the result dtype
+            out = np.empty(flat.size, dtype=p.dtype)
+        out[start:start + p.size] = p
+    return out.reshape(z.shape)
+
+
 def _horner(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} a_k z^k  ==  z^2 * (a_2 + z*(a_3 + ...)), scalar or ndarray
-    return _horner_loop(reversed(coeffs), z) * z * z
+    terms = coeffs[::-1]
+    return _blockwise(lambda b: _horner_loop(terms, b) * b * b, z)
 
 
 def _horner_deriv(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} k a_k z^(k-1)  ==  z * (2 a_2 + z*(3 a_3 + ...))
-    terms = (k * a for k, a in reversed(list(enumerate(coeffs, start=_COEFF_START))))
-    p = _horner_loop(terms, z) * z
-    # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
-    # would make it NaN.  Only non-finite results at z = 0 are replaced.
-    if isinstance(p, np.ndarray):
-        p[(z == 0) & ~np.isfinite(p)] = 0
-    elif z == 0 and not cmath.isfinite(p):
-        p = 0j
-    return p
+    terms = [k * a for k, a in enumerate(coeffs, start=_COEFF_START)][::-1]
+
+    def kernel(b):
+        p = _horner_loop(terms, b) * b
+        # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
+        # would make it NaN.  Only non-finite results at z = 0 are replaced.
+        if isinstance(p, np.ndarray):
+            p[(b == 0) & ~np.isfinite(p)] = 0
+        elif b == 0 and not cmath.isfinite(p):
+            p = 0j
+        return p
+
+    return _blockwise(kernel, z)
 
 
 def series_eval(series: CoefficientSeries, zeta) -> complex:

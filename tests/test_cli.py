@@ -261,12 +261,18 @@ _TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"
         (["eq1-scan", *_TINY], '{"start": 2, "coeffs": [[1e308, 1e308]]}'),
         (["counterexample", "--c-report", "nan"], None),
         (["counterexample", "--c-report", "inf"], None),
+        # allocations past 2^50 bytes, which no host can satisfy
+        (["growth-scan", "--angular", "1000000000000000"], None),
+        (["growth-scan", "--grid", "0.1:0.9:1000000000000000"], None),
+        (["eq1-scan", "--s-grid", "100000", "--t-grid", "100000", "--phase-grid", "100000"],
+         None),
     ],
     ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
          "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting",
          "no-information-starlike", "no-information-eq1",
          "overflowing-a2-starlike", "overflowing-a2-eq1",
-         "nan-c-report", "inf-c-report"],
+         "nan-c-report", "inf-c-report",
+         "oversized-angular", "oversized-radius-grid", "oversized-sampler"],
 )
 def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     """Exit 1 means a finding; inputs that cannot be evaluated, and scans

@@ -29,8 +29,8 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import _CHUNK, _build_samples
-from shearmaps.series import _horner, re_inner
+from shearmaps.geometry import _build_samples
+from shearmaps.series import _BLOCK, _horner, re_inner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -416,7 +416,7 @@ def test_derived_log_matches_explicit_evaluator(terms):
 
 # 16 structured points; the probes add two more
 _WIDE = SamplerConfig(radius=0.95, n_radial=2, n_split=3, n_phase=2, n_random=0)
-_STRADDLE = _CHUNK - 16 - 2
+_STRADDLE = _BLOCK - 16 - 2
 
 
 @settings(max_examples=5, deadline=None)
@@ -428,12 +428,13 @@ _STRADDLE = _CHUNK - 16 - 2
     reuse=st.integers(0, 2**16),
     phase=st.floats(0.0, 2.0 * math.pi),
 )
-# one point past the first chunk, which leaves the z2 = 0 probe to the second
+# one point past the first Horner block, which leaves the z2 = 0 probe to
+# the second
 @example(shear=geometric_shear, n_random=_STRADDLE + 1, seed=0, reuse=7, phase=1.0)
 def test_reports_and_traces_identical_for_any_workers(shear, n_random, seed, reuse, phase):
     """Reports and trace bytes do not depend on the worker count, also when
-    the distinct points straddle a chunk boundary, a probe repeats a random
-    z2 with its own z1, and a probe sits at z2 = 0."""
+    the distinct points straddle a Horner block boundary, a probe repeats a
+    random z2 with its own z1, and a probe sits at z2 = 0."""
     f = shear()
     plain = dataclasses.replace(_WIDE, n_random=n_random, seed=seed)
     z2 = complex(_build_samples(plain).points[16 + reuse % n_random])
@@ -447,3 +448,34 @@ def test_reports_and_traces_identical_for_any_workers(shear, n_random, seed, reu
                 report = scan(f, sampler=cfg, workers=workers, trace_path=path, **kw)
                 outcomes.append((report, path.read_bytes()))
             assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_cached_plan_keeps_probe_signed_zeros(tmp_path):
+    """The sampling plan is cached without its probes, because a probe at
+    z2 = -0.0 equals and hashes like one at z2 = 0.0.  Scans with either
+    probe, run one after the other in both orders, give the report and
+    trace bytes of fresh runs, and the cached arrays are read-only."""
+    from shearmaps.geometry import _plan
+
+    f = identity_shear()  # the probe nearest the origin is the witness
+
+    def outcome(z2):
+        cfg = dataclasses.replace(_TINY, probes=((0.01, z2),))
+        result = []
+        for scan in (starlike_scan, eq1_scan):
+            path = tmp_path / "trace.csv"
+            result.append((repr(scan(f, sampler=cfg, trace_path=path)), path.read_bytes()))
+        return result
+
+    fresh = {}
+    for z2 in (0.0, -0.0):
+        _plan.cache_clear()
+        fresh[repr(z2)] = outcome(z2)
+    assert fresh["0.0"] != fresh["-0.0"]
+    for order in ((0.0, -0.0), (-0.0, 0.0)):
+        _plan.cache_clear()
+        for z2 in order:
+            assert outcome(z2) == fresh[repr(z2)]
+    plan = _build_samples(_TINY)
+    assert plan is _build_samples(_TINY)
+    assert not any(a.flags.writeable for a in plan)

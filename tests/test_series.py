@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,7 +30,7 @@ from shearmaps import (
     parse_series_spec,
     tail_sum,
 )
-from shearmaps.series import _horner, _horner_deriv, series_deriv_eval, series_eval
+from shearmaps.series import _BLOCK, _horner, _horner_deriv, series_deriv_eval, series_eval
 
 
 def test_geometric_eval_matches_closed_form():
@@ -275,20 +275,37 @@ _coeff = st.one_of(
     st.builds(complex, st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
     st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
 )
+# array sizes around the Horner block seams; the last block of _BLOCK + 1
+# points has one point and takes the out-of-place path
+_SEAMS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+def _disk_array(n, seed):
+    re, im = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, n))
+    return re + 1j * im
+
+
 _z = st.one_of(
     hnp.arrays(np.complex128, st.integers(0, 12), elements=_point),
     hnp.arrays(np.float64, st.integers(0, 12), elements=_anyfloat),
+    st.builds(_disk_array, st.sampled_from(_SEAMS), st.integers(0, 2**32 - 1)),
     _point,
     _anyfloat,
 )
+_SEAM_COEFFS = (0.5 - 0.25j, 1.0 + 0.5j, -0.75j)
 
 
 @settings(max_examples=300, deadline=None)
 @given(coeffs=st.lists(_coeff, max_size=12).map(tuple), z=_z)
+@example(coeffs=_SEAM_COEFFS, z=_disk_array(_SEAMS[0], 0))
+@example(coeffs=_SEAM_COEFFS, z=_disk_array(_SEAMS[1], 1))
+@example(coeffs=_SEAM_COEFFS, z=_disk_array(_SEAMS[2], 2))
+@example(coeffs=_SEAM_COEFFS, z=_disk_array(_SEAMS[3], 3))
 def test_in_place_horner_matches_reference_bitwise(coeffs, z):
     """The in-place kernels return what the out-of-place loops return, bit
     for bit, for complex and real arrays and Python complex and float
-    scalars, including zeros of either sign, overflow, inf and NaN."""
+    scalars, including zeros of either sign, overflow, inf and NaN, and for
+    arrays just below, at and past a block seam."""
     with np.errstate(all="ignore"):
         for kernel, reference in (
             (_horner, reference_horner), (_horner_deriv, reference_horner_deriv)
