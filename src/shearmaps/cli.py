@@ -34,7 +34,6 @@ from .errors import ConfigError, ShearmapsError
 from .geometry import (
     DEFAULT_SEED,
     SamplerConfig,
-    default_alpha_grid,
     eq1_scan,
     starlike_quantity,
     starlike_scan,
@@ -192,32 +191,18 @@ def _cmd_certify(cfg: RunConfig):
     return comments, _CERT_COLUMNS, rows, (), 0
 
 
-def _cmd_starlike_scan(cfg: RunConfig):
+def _cmd_scan(cfg: RunConfig):
+    """starlike-scan and eq1-scan (over the alpha grid, default 0.1:1.0:10)."""
     shear = _load_map(cfg)
-    report = starlike_scan(
-        shear, sampler=_sampler(cfg), workers=cfg.workers, trace_path=cfg.trace
-    )
-    comments = [("subcommand", "starlike-scan")]
-    comments.extend(_digest_comments(report.config_digest))
-    rows = [_scan_row(report)]
-    return comments, _SCAN_COLUMNS, rows, (), 1 if report.violation else 0
-
-
-def _cmd_eq1_scan(cfg: RunConfig):
-    shear = _load_map(cfg)
-    alphas = cfg.grid if cfg.grid is not None else default_alpha_grid()
-    report = eq1_scan(
-        shear,
-        alphas=alphas,
-        sampler=_sampler(cfg),
-        workers=cfg.workers,
-        trace_path=cfg.trace,
-    )
-    comments = [("subcommand", "eq1-scan")]
-    comments.extend(_digest_comments(report.config_digest))
-    columns = _SCAN_COLUMNS[:5] + ("alpha",) + _SCAN_COLUMNS[5:]
-    rows = [_scan_row(report)]
-    return comments, columns, rows, (), 1 if report.violation else 0
+    kwargs = dict(sampler=_sampler(cfg), workers=cfg.workers, trace_path=cfg.trace)
+    if cfg.subcommand == "eq1-scan":
+        report = eq1_scan(shear, alphas=cfg.grid, **kwargs)
+        columns = _SCAN_COLUMNS[:5] + ("alpha",) + _SCAN_COLUMNS[5:]
+    else:
+        report = starlike_scan(shear, **kwargs)
+        columns = _SCAN_COLUMNS
+    comments = [("subcommand", cfg.subcommand), *_digest_comments(report.config_digest)]
+    return comments, columns, [_scan_row(report)], (), 1 if report.violation else 0
 
 
 def _cmd_growth_scan(cfg: RunConfig):
@@ -312,8 +297,8 @@ def _cmd_eval(cfg: RunConfig):
 _HANDLERS = {
     "certify": _cmd_certify,
     "embed": _cmd_certify,
-    "starlike-scan": _cmd_starlike_scan,
-    "eq1-scan": _cmd_eq1_scan,
+    "starlike-scan": _cmd_scan,
+    "eq1-scan": _cmd_scan,
     "growth-scan": _cmd_growth_scan,
     "counterexample": _cmd_counterexample,
     "eval": _cmd_eval,

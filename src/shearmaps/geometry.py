@@ -14,27 +14,34 @@ which every starlike shearing map satisfies (at a = 1 the residual is
 exactly 1 - |z|^2).  boundedness_scan reports max log|g| on a circle.
 
 The scans sample sphere-stratified structured grids (radius s, split
-|z2|^2 = t s^2, phase of z2; the phase of z1 is chosen adversarially, which
-is exact because the quantity depends on z1 only through its modulus and one
-relative phase), plus seeded random points and user probes (each evaluated
-both as given and with the phase of z1 adversarially realigned).  The
+|z2|^2 = t s^2, phase of z2), plus seeded random points and user probes
+(each evaluated both as given and with z1 realigned).  Both quantities
+depend on z1 only through |z1| and its phase against one complex number
+per point, so a realigned z1 is exact: z1 = -|z1| w/|w| with
+w = g(z2) - z2 g'(z2) for the starlike quantity, and z1 = +|z1| c/|c| with
+c = g(z2) - g(a z2)/a for eq1 (|z1| itself where that number is 0).  The
 probe-free part of the plan depends only on the sampler's dimensions and
-seed and is cached, read-only.  Minima are reduced with ties broken by
-lexicographic witness order, so reports are reproducible byte for byte.
-The scans run on one thread; their `workers` argument is accepted for
-compatibility and has no effect.
+seed and is cached, read-only.  The scans run on one thread; their
+`workers` argument is accepted for compatibility and has no effect.
 
 The kernels see each distinct z2 of the plan once (both copies of a random
 point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) for every
 alpha < 1 are evaluated as whole arrays, and only the arithmetic that
-involves z1 runs per sample.  The witness z1 and the lexicographic keys are
-built for the tied minima only (for every sample only when a trace is
-written).  Values whose log-magnitudes exceed a screening limit are not
-trusted in double precision.  The starlike scan excludes those samples
-(counted as `refused`), while the eq1 scan certifies the residual sign in
-log-magnitude arithmetic when one term dominates (reported as a -inf
-residual) and refuses otherwise.  A scan in which every sample whose value
-depends on g was refused is an error.
+involves z1 runs per sample.  Values whose log-magnitudes exceed a
+screening limit are not trusted in double precision.  The starlike scan
+excludes those samples (counted as `refused`), while the eq1 scan
+certifies the residual sign in log-magnitude arithmetic when one term
+dominates (reported as a -inf residual) and refuses otherwise.
+
+Both scans then share one path (_report): the starlike scan is the
+one-row case of eq1's (alpha row x sample) layout.  It applies the
+realignment rule above, picks the minimum with ties broken by
+lexicographic witness key, so reports are reproducible byte for byte,
+re-evaluates a finite minimum exactly at its witness, writes the trace and
+builds the report.  The witness z1 and the keys are built for the tied
+minima only (for every sample only when a trace is written).  A scan in
+which every sample whose value depends on g was refused is an error, and
+so is an eq1 grid without an alpha below 1.
 """
 
 from __future__ import annotations
@@ -231,20 +238,58 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
     return _add_twice(plan, pz2, np.abs(pz1), np.angle(pz1))
 
 
-def _pick_witness(values: np.ndarray, key_rows, depends_on_g: np.ndarray) -> int:
-    """Index of the minimum value; ties broken by lexicographic witness key,
-    then by index.  key_rows(idx) returns the key rows of the indices idx
-    and is called for the tied minima only.  NaN entries (refused samples)
-    never win.  A scan in which every sample whose value depends on g was
-    refused carries no information and fails."""
+# ---------------------------------------------------------------------------
+# witness, trace and report, shared by both scans
+
+
+def _report(
+    f: ShearingMap, cfg: SamplerConfig, samples: _Samples, values: np.ndarray,
+    c: np.ndarray, sign: int, ok: np.ndarray, certified: np.ndarray,
+    alphas: tuple[float, ...] | None, trace_path,
+) -> ScanReport:
+    """Witness, trace and report of a scan with one row of sample values
+    per alpha (the starlike scan: one row, alphas None).  c, ok and
+    certified hold per row and distinct z2 the number a realigned z1
+    follows, the screen, and the log-magnitude sign certificate.  A
+    realigned z1 is sign |z1| c/|c|, or |z1| where c = 0 or the sample is
+    certified.  Ties for the minimum go to the lexicographically least key
+    (z1, z2, alpha), then to the lowest index; NaN (refused) never wins.  A
+    finite minimum is re-evaluated exactly at its witness."""
+    pts, src, r1, phi1, _ = samples
+    n, eq1 = src.size, alphas is not None
+    kind = "eq1-scan" if eq1 else "starlike-scan"
+    flat = values.ravel()
+    refused = int(np.isnan(flat).sum())
+
+    def z1_of(pairs):
+        """z1 of the flat (row, sample) indices pairs; NaN when refused."""
+        i, j = np.divmod(np.asarray(pairs), n)
+        r, p = r1[j], src[j]
+        cp, okp = c[i, p], ok[i, p]
+        with np.errstate(all="ignore"):
+            absc = np.abs(cp)
+            # (sign * r) first: r * (-c) can flip the sign of a zero part
+            z1 = np.where(okp & (absc > 0.0), (sign * r) * cp / np.where(absc > 0.0, absc, 1.0), r)
+            z1 = np.where(np.isnan(phi1[j]), z1, r * np.exp(1j * phi1[j]))
+        return np.where(okp | certified[i, p], z1, complex(np.nan, np.nan))
+
+    # a sample depends on g when z2 != 0 (eq1: and alpha < 1)
+    depends_on_g = (pts != 0.0)[src]
+    if eq1:
+        depends_on_g = depends_on_g & (np.asarray(alphas)[:, None] < 1.0)
     if not (~np.isnan(values) & depends_on_g).any():
         raise ConfigError("every sample whose value depends on g was refused; nothing to report")
-    cand = np.flatnonzero(values == np.fmin.reduce(values))
-    keys = key_rows(cand)
-    return int(cand[min(range(cand.size), key=lambda i: tuple(keys[i]))])
+    cand = np.flatnonzero(flat == np.fmin.reduce(flat))
+    z1, z2 = z1_of(cand), pts[src[cand % n]]
+    keys = np.column_stack([z1.real, z1.imag, z2.real, z2.imag]
+                           + ([np.asarray(alphas)[cand // n]] if eq1 else []))
+    best = int(cand[min(range(cand.size), key=lambda k: tuple(keys[k]))])
+    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best % n]]))
+    alpha = alphas[best // n] if eq1 else None
+    extremum = float(flat[best])
+    if math.isfinite(extremum):
+        extremum = eq1_residual(f, alpha, witness) if eq1 else starlike_quantity(f, witness)
 
-
-def _digest(kind: str, f: ShearingMap, cfg: SamplerConfig, refused: int, extra: str = "") -> str:
     parts = [
         f"kind={kind}",
         f"input={f.label or 'shear'}",
@@ -256,26 +301,36 @@ def _digest(kind: str, f: ShearingMap, cfg: SamplerConfig, refused: int, extra: 
         f"seed={cfg.seed}",
         f"probes={len(cfg.probes)}",
     ]
-    if extra:
-        parts.append(extra)
-    parts += [f"log_limit={SCAN_LOG_LIMIT!r}", f"refused={refused}"]
-    return ";".join(parts)
-
-
-def _write_trace(path, digest: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {digest}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
-def _trace_geometry(z1: np.ndarray, z2: np.ndarray):
-    s = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(s > 0.0, (np.abs(z2) / np.where(s > 0.0, s, 1.0)) ** 2, 0.0)
-    return s, t, np.angle(z1), np.angle(z2)
+    if eq1:
+        parts += ["label=necessary-condition-check",
+                  f"alphas={alphas[0]!r}:{alphas[-1]!r}:{len(alphas)}"]
+    digest = ";".join(parts + [f"log_limit={SCAN_LOG_LIMIT!r}", f"refused={refused}"])
+    if trace_path is not None:
+        z1, z2 = z1_of(np.arange(flat.size)), np.tile(pts[src], len(values))
+        s = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.where(s > 0.0, (np.abs(z2) / np.where(s > 0.0, s, 1.0)) ** 2, 0.0)
+        columns = [s, t, np.angle(z1), np.angle(z2), flat]
+        header = ["s", "t", "phase1", "phase2", "value"]
+        if eq1:
+            columns.insert(0, np.repeat(alphas, n))
+            header.insert(0, "alpha")
+        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# {digest}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([f"{x:.17g}" for x in row] for row in zip(*columns))
+    return ScanReport(
+        kind=kind,
+        extremum=extremum,
+        witness=witness,
+        samples=n,
+        refused=refused,
+        violation=extremum < VIOLATION_THRESHOLD,
+        threshold=VIOLATION_THRESHOLD,
+        config_digest=digest,
+        alpha=alpha,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,55 +347,22 @@ def starlike_scan(
     a minimum below the -1e-12 threshold; a starlike map never produces one.
     workers is accepted for compatibility and has no effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
-    pts, src, r1, phi1, given = _build_samples(cfg)
-    n = src.size
+    samples = _build_samples(cfg)
+    pts, src, r1, phi1, given = samples
     with np.errstate(all="ignore"):
         g = f.g.eval_raw(pts)
         w = g - pts * f.g.deriv_raw(pts)
         ok = f.g.log_abs_of(pts, g) <= SCAN_LOG_LIMIT
         if f.g.deriv_log_abs_raw is not None:
             ok &= np.asarray(f.g.deriv_log_abs_raw(pts), dtype=float) <= SCAN_LOG_LIMIT
-        absw = np.abs(w)
         norm_sq = r1**2 + np.abs(pts[src]) ** 2
-        values = norm_sq - absw[src] * r1
+        values = norm_sq - np.abs(w)[src] * r1
         z1_given = r1[given] * np.exp(1j * phi1[given])
         values[given] = norm_sq[given] + (w[src[given]] * np.conj(z1_given)).real
     values[~(ok[src] & np.isfinite(values))] = np.nan
-    refused = int(np.isnan(values).sum())
-
-    def z1_of(idx):
-        r, j = r1[idx], src[idx]
-        with np.errstate(all="ignore"):
-            safe = np.where(absw[j] > 0.0, absw[j], 1.0)
-            z1_aligned = np.where(absw[j] > 0.0, -r * w[j] / safe, r.astype(complex))
-            z1_given = r * np.exp(1j * phi1[idx])
-        z1 = np.where(np.isnan(phi1[idx]), z1_aligned, z1_given)
-        return np.where(ok[j], z1, complex(np.nan, np.nan))
-
-    def key_rows(idx):
-        z1, z2 = z1_of(idx), pts[src[idx]]
-        return np.column_stack([z1.real, z1.imag, z2.real, z2.imag])
-
-    best = _pick_witness(values, key_rows, (pts != 0.0)[src])
-    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best]]))
-    extremum = starlike_quantity(f, witness)
-    digest = _digest("starlike-scan", f, cfg, refused)
-    if trace_path is not None:
-        s, t, p1, p2 = _trace_geometry(z1_of(np.arange(n)), pts[src])
-        _write_trace(
-            trace_path, digest, ["s", "t", "phase1", "phase2", "value"],
-            zip(s, t, p1, p2, values),
-        )
-    return ScanReport(
-        kind="starlike-scan",
-        extremum=extremum,
-        witness=witness,
-        samples=n,
-        refused=refused,
-        violation=extremum < VIOLATION_THRESHOLD,
-        threshold=VIOLATION_THRESHOLD,
-        config_digest=digest,
-    )
+    # the minimizing z1 on the sphere points against w
+    return _report(f, cfg, samples, values[None], w[None], -1, ok[None],
+                   np.zeros((1, pts.size), dtype=bool), None, trace_path)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +393,17 @@ def eq1_scan(
     for a in avals:
         if not (0.0 < a <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {a!r}")
-    pts, src, r1, phi1, given = _build_samples(cfg)
+    if all(a == 1.0 for a in avals):
+        raise ConfigError(
+            "the alpha grid has no alpha below 1, so no sample depends on g; nothing to report"
+        )
+    samples = _build_samples(cfg)
+    pts, src, r1, phi1, given = samples
     n = src.size
-    na = len(avals)
-    alpha_arr = np.asarray(avals)
     a2sq = np.abs(pts[src]) ** 2
-    values = np.empty((na, n))
-    # per point and alpha; the rows of alpha = 1 stay unused
-    ok = np.zeros((na, pts.size), dtype=bool)
+    values = np.empty((len(avals), n))
+    # per alpha and point; c = g(z2) - g(a z2)/a is 0 at alpha = 1
+    ok = np.ones((len(avals), pts.size), dtype=bool)
     certified = np.zeros_like(ok)
     c = np.zeros(ok.shape, dtype=complex)
     with np.errstate(all="ignore"):
@@ -403,55 +428,5 @@ def eq1_scan(
             values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
             values[i][~ok[i][src]] = np.nan
             values[i][certified[i][src]] = -math.inf
-    refused = int(np.isnan(values).sum())
-    flat = values.ravel()
-
-    def z1_of(pairs):
-        """z1 of the flat (alpha, sample) indices pairs, by the scan's rule."""
-        i, j = np.divmod(np.asarray(pairs), n)
-        r, p, aligned = r1[j], src[j], np.isnan(phi1[j])
-        with np.errstate(all="ignore"):
-            absc = np.abs(c[i, p])
-            z1_given = r * np.exp(1j * phi1[j])
-            safe = np.where(absc > 0.0, absc, 1.0)
-            z1a = np.where(absc > 0.0, r * c[i, p] / safe, r.astype(complex))
-        z1_plain = np.where(aligned, r.astype(complex), z1_given)
-        z1 = np.where(
-            ok[i, p], np.where(aligned, z1a, z1_given),
-            np.where(certified[i, p], z1_plain, complex(np.nan, np.nan)),
-        )
-        return np.where(alpha_arr[i] == 1.0, z1_plain, z1)
-
-    def key_rows(idx):
-        z1, z2 = z1_of(idx), pts[src[idx % n]]
-        return np.column_stack([z1.real, z1.imag, z2.real, z2.imag, alpha_arr[idx // n]])
-
-    depends_on_g = ((alpha_arr < 1.0)[:, None] & (pts != 0.0)[src]).ravel()
-    best = _pick_witness(flat, key_rows, depends_on_g)
-    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best % n]]))
-    alpha_star = avals[best // n]
-    extremum = float(flat[best])
-    if math.isfinite(extremum):
-        extremum = eq1_residual(f, alpha_star, witness)
-    extra = (
-        "label=necessary-condition-check;"
-        f"alphas={avals[0]!r}:{avals[-1]!r}:{na}"
-    )
-    digest = _digest("eq1-scan", f, cfg, refused, extra=extra)
-    if trace_path is not None:
-        s, t, p1, p2 = _trace_geometry(z1_of(np.arange(na * n)), np.tile(pts[src], na))
-        _write_trace(
-            trace_path, digest, ["alpha", "s", "t", "phase1", "phase2", "value"],
-            zip(np.repeat(alpha_arr, n), s, t, p1, p2, flat),
-        )
-    return ScanReport(
-        kind="eq1-scan",
-        extremum=extremum,
-        witness=witness,
-        samples=n,
-        refused=refused,
-        violation=extremum < VIOLATION_THRESHOLD,
-        threshold=VIOLATION_THRESHOLD,
-        config_digest=digest,
-        alpha=alpha_star,
-    )
+    # the minimizing z1 on the sphere points along c
+    return _report(f, cfg, samples, values, c, 1, ok, certified, avals, trace_path)

@@ -156,14 +156,16 @@ def identity_shear(label: str = "identity") -> ShearingMap:
 
 
 def embed_certificate(f: ShearingMap, n_max: int = 64) -> Certificate:
-    """Search N = 1..n_max for the smallest N with tail_sum(N) <= 1."""
+    """Search N = 1..n_max for the smallest N with tail_sum(N) <= 1.  Past
+    the largest stored index M, tail_sum(N) is the declared tail bound alone,
+    so the search stops at min(n_max, M)."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     series = f.g.coefficients
     if series is None:
         return Certificate(KIND_EMBEDDABLE, STATUS_NOT_CERTIFIED, margin=-math.inf)
     last = math.inf
-    for n in range(1, n_max + 1):
+    for n in range(1, min(n_max, series.max_index) + 1):
         last = tail_sum(series, n)
         if last <= 1.0:
             return Certificate(

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -285,6 +286,15 @@ def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     code = main(argv[:1] + source + argv[1:])
     assert code == 2
     assert capsys.readouterr().err.startswith("shearmaps: error:")
+
+
+def test_eq1_grid_without_alpha_below_one_exits_2(geo_spec, capsys):
+    """At alpha = 1 the residual is 1 - |z|^2 for every map, so a grid of
+    alpha = 1 alone refuses nothing yet evaluates nothing that depends on g."""
+    assert main(["eq1-scan", "--input", geo_spec, *_TINY, "--grid", "1:1:1"]) == 2
+    assert re.match(
+        "shearmaps: error: the alpha grid has no alpha below 1", capsys.readouterr().err
+    )
 
 
 _FUZZ_COMMANDS = (

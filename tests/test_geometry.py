@@ -258,6 +258,9 @@ def test_eq1_scan_validation():
         eq1_scan(f, alphas=(), sampler=SMALL)
     with pytest.raises(DomainError):
         eq1_scan(f, alphas=(0.5, 1.5), sampler=SMALL)
+    # at alpha = 1 the residual is 1 - |z|^2 for every map
+    with pytest.raises(ConfigError, match="no alpha below 1"):
+        eq1_scan(f, alphas=(1.0, 1.0), sampler=SMALL)
 
 
 def test_eq1_scan_witness_reproduces_extremum():
@@ -265,6 +268,28 @@ def test_eq1_scan_witness_reproduces_extremum():
     report = eq1_scan(f, sampler=SMALL)
     again = eq1_residual(f, report.alpha, report.witness)
     assert again == report.extremum
+
+
+@pytest.mark.parametrize("scan", ["starlike", "eq1"])
+@pytest.mark.parametrize(
+    "coeffs", [(10.0,), (5j, 3 - 2j), (0.0, 16.0)], ids=["a2=10", "a2=5i,a3=3-2i", "a3=16"]
+)
+def test_extremum_is_the_trace_minimum(scan, coeffs, tmp_path):
+    """The extremum, re-evaluated exactly at the witness, equals the least
+    value the scan itself traced.  So the witness z1 is realigned the way
+    the values were minimized over the sphere: against w = g - z2 g' for
+    the starlike quantity, along c = g(z2) - g(a z2)/a for eq1."""
+    f = shear_from_series(CoefficientSeries(coeffs), label="violating")
+    trace = tmp_path / "trace.csv"
+    if scan == "starlike":
+        report = starlike_scan(f, sampler=SMALL, trace_path=trace)
+    else:
+        report = eq1_scan(f, alphas=(0.3, 0.6), sampler=SMALL, trace_path=trace)
+    values = [float(row["value"]) for row in csv.DictReader(trace.read_text().splitlines()[1:])]
+    assert report.violation
+    assert math.isclose(
+        report.extremum, min(v for v in values if not math.isnan(v)), rel_tol=1e-9
+    )
 
 
 def test_eq1_trace(tmp_path):

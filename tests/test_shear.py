@@ -23,6 +23,7 @@ from shearmaps import (
     shear_from_series,
     starlike_certificate,
     starshapelike_certificate,
+    tail_sum,
 )
 
 
@@ -170,6 +171,34 @@ def test_embed_respects_degree_cap():
     cert = embed_certificate(unbounded)
     assert not cert.certified
     assert cert.margin == -math.inf
+
+
+def test_embed_search_stops_at_largest_stored_index(monkeypatch):
+    """Past the largest stored index M, tail_sum(N) is the declared tail
+    bound alone, so n_max = 10^5 costs at most M tail sums and gives the
+    certificate of the full search."""
+    import shearmaps.shear
+
+    calls = []
+
+    def counted(series, n):
+        calls.append(n)
+        return tail_sum(series, n)
+
+    coeffs = tuple(0.5 / k**3 for k in range(2, 201))
+    unbounded = shear_from_series(CoefficientSeries(coeffs, tail_bound=math.inf))
+    heavy = CoefficientSeries(coeffs, tail_bound=2.0)  # tail_sum(N) > 1 for every N
+    expected = [
+        (unbounded, embed_certificate(unbounded, n_max=64)),
+        (shear_from_series(heavy), Certificate(
+            "Embeddable", "NotCertified", margin=1.0 - tail_sum(heavy, 10**5)
+        )),
+    ]
+    monkeypatch.setattr(shearmaps.shear, "tail_sum", counted)
+    for f, cert in expected:
+        calls.clear()
+        assert embed_certificate(f, n_max=10**5) == cert
+        assert len(calls) <= f.g.coefficients.max_index
 
 
 def test_all_certificates_bundle():
