@@ -32,14 +32,13 @@ from .counterexample import (
 )
 from .errors import ConfigError, ShearmapsError
 from .geometry import (
-    DEFAULT_SEED,
     SamplerConfig,
     eq1_scan,
     starlike_quantity,
     starlike_scan,
 )
 from .growth import growth_conformance_scan, shear_opnorm
-from .reporting import format_real, render
+from .reporting import render
 from .series import BallPoint, load_series_spec
 from .shear import ShearingMap, all_certificates, embed_certificate, shear_from_series
 
@@ -54,37 +53,6 @@ _SCAN_COLUMNS = (
     "refused",
     "violation",
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully parsed invocation; every subcommand reads the fields it uses."""
-
-    subcommand: str
-    input_path: str | None = None
-    builtin: str | None = None
-    radius: float = 0.99
-    s_grid: int = 24
-    t_grid: int = 25
-    phase_grid: int = 8
-    random_samples: int = 5000
-    seed: int = DEFAULT_SEED
-    grid: tuple[float, ...] | None = None
-    c_report: float = 10.0
-    n_max: int = 64
-    probes: tuple[tuple[complex, complex], ...] = ()
-    truncate: int | None = None
-    angular: int = 2048
-    workers: int = 1
-    trace: str | None = None
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
-        if self.workers < 1:
-            raise ConfigError("--workers must be at least 1")
 
 
 def parse_probe(text: str) -> tuple[complex, complex]:
@@ -123,33 +91,27 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
-def _load_map(cfg: RunConfig) -> ShearingMap:
-    if (cfg.input_path is None) == (cfg.builtin is None):
+def _load_map(args: argparse.Namespace) -> ShearingMap:
+    if (args.input_path is None) == (args.builtin is None):
         raise ConfigError("exactly one of --input / --builtin is required")
-    if cfg.builtin is not None:
-        if cfg.builtin != BUILTIN_NAME:
-            raise ConfigError(f"unknown builtin {cfg.builtin!r}")
+    if args.builtin is not None:
+        if args.builtin != BUILTIN_NAME:
+            raise ConfigError(f"unknown builtin {args.builtin!r}")
         return counterexample_map()
-    series = load_series_spec(cfg.input_path)
-    return shear_from_series(series, label=os.path.basename(cfg.input_path))
+    series = load_series_spec(args.input_path)
+    return shear_from_series(series, label=os.path.basename(args.input_path))
 
 
-def _source_comment(cfg: RunConfig) -> tuple[str, str]:
-    if cfg.builtin is not None:
-        return ("builtin", cfg.builtin)
-    return ("input", os.path.basename(cfg.input_path))
+def _source_comment(args: argparse.Namespace) -> tuple[str, str]:
+    if args.builtin is not None:
+        return ("builtin", args.builtin)
+    return ("input", os.path.basename(args.input_path))
 
 
-def _sampler(cfg: RunConfig) -> SamplerConfig:
-    return SamplerConfig(
-        radius=cfg.radius,
-        n_radial=cfg.s_grid,
-        n_split=cfg.t_grid,
-        n_phase=cfg.phase_grid,
-        n_random=cfg.random_samples,
-        seed=cfg.seed,
-        probes=cfg.probes,
-    )
+def _sampler(args: argparse.Namespace) -> SamplerConfig:
+    """The parser stores each sampler flag under its SamplerConfig field name."""
+    fields = dataclasses.fields(SamplerConfig)
+    return SamplerConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _digest_comments(digest: str) -> list[tuple[str, str]]:
@@ -175,47 +137,47 @@ def _scan_row(report) -> list:
     return row
 
 
-def _cmd_certify(cfg: RunConfig):
+def _cmd_certify(args: argparse.Namespace):
     """certify (all three certificates) and embed (embeddability only)."""
-    shear = _load_map(cfg)
-    if cfg.subcommand == "embed":
-        certs = [embed_certificate(shear, n_max=cfg.n_max)]
+    shear = _load_map(args)
+    if args.subcommand == "embed":
+        certs = [embed_certificate(shear, n_max=args.n_max)]
     else:
-        certs = all_certificates(shear, n_max=cfg.n_max)
+        certs = all_certificates(shear, n_max=args.n_max)
     comments = [
-        ("subcommand", cfg.subcommand),
-        _source_comment(cfg),
-        ("n_max", str(cfg.n_max)),
+        ("subcommand", args.subcommand),
+        _source_comment(args),
+        ("n_max", str(args.n_max)),
     ]
     rows = [[c.kind, c.status, c.degree, c.margin] for c in certs]
     return comments, _CERT_COLUMNS, rows, (), 0
 
 
-def _cmd_scan(cfg: RunConfig):
+def _cmd_scan(args: argparse.Namespace):
     """starlike-scan and eq1-scan (over the alpha grid, default 0.1:1.0:10)."""
-    shear = _load_map(cfg)
-    kwargs = dict(sampler=_sampler(cfg), workers=cfg.workers, trace_path=cfg.trace)
-    if cfg.subcommand == "eq1-scan":
-        report = eq1_scan(shear, alphas=cfg.grid, **kwargs)
+    shear = _load_map(args)
+    kwargs = dict(sampler=_sampler(args), workers=args.workers, trace_path=args.trace)
+    if args.subcommand == "eq1-scan":
+        report = eq1_scan(shear, alphas=args.grid, **kwargs)
         columns = _SCAN_COLUMNS[:5] + ("alpha",) + _SCAN_COLUMNS[5:]
     else:
         report = starlike_scan(shear, **kwargs)
         columns = _SCAN_COLUMNS
-    comments = [("subcommand", cfg.subcommand), *_digest_comments(report.config_digest)]
+    comments = [("subcommand", args.subcommand), *_digest_comments(report.config_digest)]
     return comments, columns, [_scan_row(report)], (), 1 if report.violation else 0
 
 
-def _cmd_growth_scan(cfg: RunConfig):
-    shear = _load_map(cfg)
-    radii = cfg.grid if cfg.grid is not None else parse_grid("0.1:0.9:9")
+def _cmd_growth_scan(args: argparse.Namespace):
+    shear = _load_map(args)
+    radii = args.grid if args.grid is not None else parse_grid("0.1:0.9:9")
     records = growth_conformance_scan(
-        shear, radii, n_angular=cfg.angular, workers=cfg.workers
+        shear, radii, n_angular=args.angular, workers=args.workers
     )
     comments = [
         ("subcommand", "growth-scan"),
-        _source_comment(cfg),
+        _source_comment(args),
         ("radii", ":".join(repr(r) for r in radii)),
-        ("angular", str(cfg.angular)),
+        ("angular", str(args.angular)),
     ]
     columns = ("r", "sup_norm", "bound", "conforms")
     rows = [[rec.r, rec.sup_norm, rec.bound, rec.conforms] for rec in records]
@@ -223,14 +185,14 @@ def _cmd_growth_scan(cfg: RunConfig):
     return comments, columns, rows, (), status
 
 
-def _cmd_counterexample(cfg: RunConfig):
-    grid = cfg.grid if cfg.grid is not None else DEFAULT_R_GRID
-    scan = divergence_scan(grid, c_report=cfg.c_report)
+def _cmd_counterexample(args: argparse.Namespace):
+    grid = args.grid if args.grid is not None else DEFAULT_R_GRID
+    scan = divergence_scan(grid, c_report=args.c_report)
     comments = [
         ("subcommand", "counterexample"),
         ("builtin", BUILTIN_NAME),
         ("r_grid", ":".join(repr(r) for r in grid)),
-        ("c_report", repr(cfg.c_report)),
+        ("c_report", repr(args.c_report)),
     ]
     columns = ("r", "opnorm", "lower_bound", "simplified_bound", "ratio", "ceiling")
     rows = [
@@ -244,18 +206,18 @@ def _cmd_counterexample(cfg: RunConfig):
     return comments, columns, rows, trailer, 0
 
 
-def _cmd_eval(cfg: RunConfig):
-    shear = _load_map(cfg)
-    if cfg.truncate is not None:
-        shear = shear.truncated(cfg.truncate)
-    if not cfg.probes:
+def _cmd_eval(args: argparse.Namespace):
+    shear = _load_map(args)
+    if args.truncate is not None:
+        shear = shear.truncated(args.truncate)
+    if not args.probes:
         raise ConfigError("eval requires at least one --probe")
     comments = [
         ("subcommand", "eval"),
-        _source_comment(cfg),
+        _source_comment(args),
     ]
-    if cfg.truncate is not None:
-        comments.append(("truncate", str(cfg.truncate)))
+    if args.truncate is not None:
+        comments.append(("truncate", str(args.truncate)))
     columns = (
         "z1_re",
         "z1_im",
@@ -271,7 +233,7 @@ def _cmd_eval(cfg: RunConfig):
         "starlike_quantity",
     )
     rows = []
-    for z1, z2 in cfg.probes:
+    for z1, z2 in args.probes:
         point = BallPoint(z1, z2)
         w1, w2 = shear.eval(point)
         dg = shear.g.deriv(z2)
@@ -305,27 +267,26 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    handler = _HANDLERS.get(cfg.subcommand)
+def run(args: argparse.Namespace) -> int:
+    handler = _HANDLERS.get(args.subcommand)
     if handler is None:
-        raise ConfigError(f"unknown subcommand {cfg.subcommand!r}")
-    comments, columns, rows, trailer, status = handler(cfg)
-    text = render(cfg.format, comments, columns, rows, trailer)
-    if cfg.out is None:
+        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+    comments, columns, rows, trailer, status = handler(args)
+    text = render(args.format, comments, columns, rows, trailer)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return status
 
 
-def _add_source_args(parser, builtin_allowed=True):
+def _add_source_args(parser):
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--input", dest="input_path", metavar="PATH",
                        help="coefficient-series spec (JSON)")
-    if builtin_allowed:
-        group.add_argument("--builtin", metavar="NAME",
-                           help=f"built-in map (only {BUILTIN_NAME!r})")
+    group.add_argument("--builtin", metavar="NAME",
+                       help=f"built-in map (only {BUILTIN_NAME!r})")
 
 
 def _add_output_args(parser):
@@ -336,18 +297,21 @@ def _add_output_args(parser):
 
 
 def _add_sampler_args(parser):
-    parser.add_argument("--radius", type=float, default=0.99, metavar="R",
+    # the dests are SamplerConfig's field names and the defaults its own
+    parser.add_argument("--radius", type=float, default=SamplerConfig.radius, metavar="R",
                         help="sphere radius bounding the sample cloud")
-    parser.add_argument("--s-grid", type=int, default=24, metavar="N",
-                        help="structured sphere-radius count")
-    parser.add_argument("--t-grid", type=int, default=25, metavar="N",
-                        help="structured norm-split count per sphere")
-    parser.add_argument("--phase-grid", type=int, default=8, metavar="N",
+    parser.add_argument("--s-grid", dest="n_radial", type=int, default=SamplerConfig.n_radial,
+                        metavar="N", help="structured sphere-radius count")
+    parser.add_argument("--t-grid", dest="n_split", type=int, default=SamplerConfig.n_split,
+                        metavar="N", help="structured norm-split count per sphere")
+    parser.add_argument("--phase-grid", dest="n_phase", type=int,
+                        default=SamplerConfig.n_phase, metavar="N",
                         help="structured phase count")
-    parser.add_argument("--random", dest="random_samples", type=int, default=5000,
+    parser.add_argument("--random", dest="n_random", type=int, default=SamplerConfig.n_random,
                         metavar="N", help="random sample count")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S")
-    parser.add_argument("--probe", action="append", default=[], metavar="RE,IM[;RE,IM]",
+    parser.add_argument("--seed", type=int, default=SamplerConfig.seed, metavar="S")
+    parser.add_argument("--probe", dest="probes", action="append", default=[],
+                        metavar="RE,IM[;RE,IM]",
                         help="explicit probe; one component is z2 (z1=0), two are z1;z2")
     parser.add_argument("--trace", metavar="PATH",
                         help="write every sampled value as CSV")
@@ -360,16 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("certify", help="all three coefficient certificates")
-    _add_source_args(p)
-    p.add_argument("--n-max", type=int, default=64, metavar="N",
-                   help="largest embedding degree to try")
-    _add_output_args(p)
-
-    p = sub.add_parser("embed", help="embedding certificate with minimal degree")
-    _add_source_args(p)
-    p.add_argument("--n-max", type=int, default=64, metavar="N")
-    _add_output_args(p)
+    for name, summary, n_max_help in (
+        ("certify", "all three coefficient certificates", "largest embedding degree to try"),
+        ("embed", "embedding certificate with minimal degree", None),
+    ):
+        p = sub.add_parser(name, help=summary)
+        _add_source_args(p)
+        p.add_argument("--n-max", type=int, default=64, metavar="N", help=n_max_help)
+        _add_output_args(p)
 
     p = sub.add_parser("starlike-scan", help="scan the starlike quantity for violations")
     _add_source_args(p)
@@ -398,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the map at explicit probes")
     _add_source_args(p)
-    p.add_argument("--probe", action="append", default=[], metavar="RE,IM[;RE,IM]",
-                   required=False, help="point to evaluate; repeatable")
+    p.add_argument("--probe", dest="probes", action="append", default=[],
+                   metavar="RE,IM[;RE,IM]", help="point to evaluate; repeatable")
     p.add_argument("--truncate", type=int, metavar="M",
                    help="evaluate the degree-M truncation instead")
     _add_output_args(p)
@@ -407,18 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {}
-    for key, value in vars(args).items():
-        if key == "grid" or key not in fields or value is None:
-            continue
-        values[key] = value
-    if "probe" in vars(args) and args.probe:
-        values["probes"] = tuple(parse_probe(p) for p in args.probe)
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse the --probe and --grid strings in place and check --workers;
+    the handlers and run() read the returned namespace."""
+    if hasattr(args, "probes"):
+        args.probes = tuple(parse_probe(p) for p in args.probes)
     if getattr(args, "grid", None) is not None:
-        values["grid"] = parse_grid(args.grid)
-    return RunConfig(**values)
+        args.grid = parse_grid(args.grid)
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
+    return args
 
 
 def main(argv=None) -> int:
@@ -428,8 +388,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = config_from_args(args)
-        return run(cfg)
+        return run(config_from_args(args))
     except (ShearmapsError, OSError, MemoryError) as exc:
         # MemoryError: a grid or sampler too large to allocate
         print(f"shearmaps: error: {exc}", file=sys.stderr)

@@ -135,12 +135,22 @@ def starlike_quantity(f: ShearingMap, point) -> float:
     return p.norm_sq + (w * p.z1.conjugate()).real
 
 
-def eq1_residual(f: ShearingMap, alpha: float, point) -> float:
-    """1/a^2 - (|z1 + g(z2) - (1/a) g(a z2)|^2 + |z2|^2); at a = 1 this is
-    exactly 1 - |z|^2."""
+def _check_alpha(alpha) -> float:
+    """alpha as a float in (0, 1] with 1/alpha^2 a finite double, that is
+    alpha above about 7.46e-155; below it the residual's 1/alpha^2 term
+    overflows to inf or divides by an underflowed alpha^2 = 0."""
     a = float(alpha)
     if not (0.0 < a <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if a * a == 0.0 or not math.isfinite(1.0 / (a * a)):
+        raise DomainError(f"1/alpha^2 is not a finite double for alpha = {alpha!r}")
+    return a
+
+
+def eq1_residual(f: ShearingMap, alpha: float, point) -> float:
+    """1/a^2 - (|z1 + g(z2) - (1/a) g(a z2)|^2 + |z2|^2); at a = 1 this is
+    exactly 1 - |z|^2."""
+    a = _check_alpha(alpha)
     p = as_ball_point(point)
     if a == 1.0:
         return 1.0 - p.norm_sq
@@ -387,12 +397,11 @@ def eq1_scan(
     refused otherwise.  workers is accepted for compatibility and has no
     effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
-    avals = tuple(float(a) for a in (alphas if alphas is not None else default_alpha_grid()))
+    avals = tuple(
+        _check_alpha(a) for a in (alphas if alphas is not None else default_alpha_grid())
+    )
     if not avals:
         raise ConfigError("alpha grid must be nonempty")
-    for a in avals:
-        if not (0.0 < a <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {a!r}")
     if all(a == 1.0 for a in avals):
         raise ConfigError(
             "the alpha grid has no alpha below 1, so no sample depends on g; nothing to report"

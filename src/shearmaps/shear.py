@@ -6,7 +6,7 @@ inverse (w1 - g(w2), w2) and the unipotent Jacobian [[1, g'(z2)], [0, 1]].
 
 Certificates are inclusive coefficient criteria:
   * embeddable:     sum_{k>N} k|a_k| <= 1 for some degree N (minimal N found
-                    by deterministic upward search);
+                    by bisection, since the tail sum never increases with N);
   * starlike:       sum_k (k-1)|a_k| <= 3*sqrt(3)/2  (sharp constant); a
                     certified starlike map is also normal-chain embeddable,
                     recorded as a derived flag;
@@ -156,27 +156,32 @@ def identity_shear(label: str = "identity") -> ShearingMap:
 
 
 def embed_certificate(f: ShearingMap, n_max: int = 64) -> Certificate:
-    """Search N = 1..n_max for the smallest N with tail_sum(N) <= 1.  Past
-    the largest stored index M, tail_sum(N) is the declared tail bound alone,
-    so the search stops at min(n_max, M)."""
+    """The smallest N in 1..n_max with tail_sum(N) <= 1.  Past the largest
+    stored index M, tail_sum(N) is the declared tail bound alone, so only
+    N <= min(n_max, M) is searched.  tail_sum never increases with N (its
+    terms are nonnegative and fsum is correctly rounded), so the search
+    bisects: about log2(M) calls of tail_sum instead of M."""
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     series = f.g.coefficients
     if series is None:
         return Certificate(KIND_EMBEDDABLE, STATUS_NOT_CERTIFIED, margin=-math.inf)
-    last = math.inf
-    for n in range(1, min(n_max, series.max_index) + 1):
-        last = tail_sum(series, n)
-        if last <= 1.0:
-            return Certificate(
-                KIND_EMBEDDABLE,
-                STATUS_CERTIFIED,
-                margin=1.0 - last,
-                degree=n,
-                s0_member=True,
-            )
-    margin = 1.0 - last if math.isfinite(last) else -math.inf
-    return Certificate(KIND_EMBEDDABLE, STATUS_NOT_CERTIFIED, margin=margin)
+    hi = min(n_max, series.max_index)
+    best = tail_sum(series, hi)
+    if best > 1.0:
+        margin = 1.0 - best if math.isfinite(best) else -math.inf
+        return Certificate(KIND_EMBEDDABLE, STATUS_NOT_CERTIFIED, margin=margin)
+    lo = 0  # invariant: tail_sum(N) > 1 for N <= lo, and tail_sum(hi) = best <= 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = tail_sum(series, mid)
+        if value <= 1.0:
+            hi, best = mid, value
+        else:
+            lo = mid
+    return Certificate(
+        KIND_EMBEDDABLE, STATUS_CERTIFIED, margin=1.0 - best, degree=hi, s0_member=True
+    )
 
 
 def starlike_certificate(f: ShearingMap) -> Certificate:

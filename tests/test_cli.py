@@ -12,7 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometric_series
-from shearmaps import ConfigError, dump_series_spec
+from shearmaps import (
+    ConfigError,
+    SamplerConfig,
+    dump_series_spec,
+    eq1_scan,
+    load_series_spec,
+    shear_from_series,
+    starlike_scan,
+)
 from shearmaps.cli import main, parse_grid, parse_probe
 
 
@@ -267,13 +275,16 @@ _TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"
         (["growth-scan", "--grid", "0.1:0.9:1000000000000000"], None),
         (["eq1-scan", "--s-grid", "100000", "--t-grid", "100000", "--phase-grid", "100000"],
          None),
+        # alpha^2 underflows to 0, so 1/alpha^2 is not a double
+        (["eq1-scan", *_TINY, "--grid", "1e-320:0.75:2"], None),
     ],
     ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
          "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting",
          "no-information-starlike", "no-information-eq1",
          "overflowing-a2-starlike", "overflowing-a2-eq1",
          "nan-c-report", "inf-c-report",
-         "oversized-angular", "oversized-radius-grid", "oversized-sampler"],
+         "oversized-angular", "oversized-radius-grid", "oversized-sampler",
+         "tiny-alpha"],
 )
 def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     """Exit 1 means a finding; inputs that cannot be evaluated, and scans
@@ -333,6 +344,97 @@ def test_exit_codes_on_fuzzed_specs(terms):
                            for r in rows), argv
 
 
+_OUTPUT_OPTIONS = {"--out", "--format", "--workers"}
+_SOURCE_OPTIONS = {"--input", "--builtin"}
+_SAMPLER_OPTIONS = {"--radius", "--s-grid", "--t-grid", "--phase-grid", "--random", "--seed",
+                    "--probe", "--trace"}
+_OPTIONS = {
+    "certify": _SOURCE_OPTIONS | {"--n-max"} | _OUTPUT_OPTIONS,
+    "embed": _SOURCE_OPTIONS | {"--n-max"} | _OUTPUT_OPTIONS,
+    "starlike-scan": _SOURCE_OPTIONS | _SAMPLER_OPTIONS | _OUTPUT_OPTIONS,
+    "eq1-scan": _SOURCE_OPTIONS | {"--grid"} | _SAMPLER_OPTIONS | _OUTPUT_OPTIONS,
+    "growth-scan": _SOURCE_OPTIONS | {"--grid", "--angular"} | _OUTPUT_OPTIONS,
+    "counterexample": {"--grid", "--c-report"} | _OUTPUT_OPTIONS,
+    "eval": _SOURCE_OPTIONS | {"--probe", "--truncate"} | _OUTPUT_OPTIONS,
+}
+
+
+_HOSTILE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-200, 1e308,
+                     0.3, 0.9, 1.0]),
+    st.floats(),
+)
+_HOSTILE_INTS = st.sampled_from([-1, 0, 1, 2, 10**30])
+_FLAG_FUZZ_SPECS = {
+    "geo.json": dump_series_spec(geometric_series()),
+    "a27.json": '{"start": 2, "coeffs": [[2.7, 0.0]]}',
+}
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flag-fuzz")
+    for name, text in _FLAG_FUZZ_SPECS.items():
+        (path / name).write_text(text)
+    return path
+
+
+@st.composite
+def _flag_argv(draw):
+    """One invocation of a random subcommand with hostile flag values; every
+    flag is optional, and the sampler, grids and circles stay small."""
+    sub = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[sub]
+    argv = [sub]
+
+    def maybe(flag, values):
+        if flag in options and draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)!r}")
+
+    def probe():
+        pairs = draw(st.lists(st.tuples(_HOSTILE_FLOATS, _HOSTILE_FLOATS), min_size=1, max_size=2))
+        return ";".join(f"{re!r},{im!r}" for re, im in pairs)
+
+    if sub != "counterexample":
+        argv += draw(st.sampled_from(
+            [["--input", "geo.json"], ["--input", "a27.json"], ["--builtin", "counterexample"]]
+        ))
+    maybe("--radius", _HOSTILE_FLOATS)
+    for flag in ("--s-grid", "--t-grid", "--phase-grid"):
+        maybe(flag, st.integers(-1, 3))
+    maybe("--random", st.sampled_from([-1, 0, 1, 20]))
+    for flag in ("--seed", "--n-max", "--truncate", "--workers"):
+        maybe(flag, _HOSTILE_INTS)
+    maybe("--angular", st.sampled_from([-1, 0, 1, 16]))
+    maybe("--c-report", _HOSTILE_FLOATS)
+    if "--grid" in options and draw(st.booleans()):
+        lo, hi = draw(_HOSTILE_FLOATS), draw(_HOSTILE_FLOATS)
+        argv.append(f"--grid={lo!r}:{hi!r}:{draw(st.integers(-1, 4))}")
+    if "--probe" in options:
+        argv += [f"--probe={probe()}" for _ in range(draw(st.integers(0, 2)))]
+    return argv + ["--format", "json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_flag_argv())
+# alpha^2 underflows: a ZeroDivisionError traceback before 1/alpha^2 was checked
+@example(argv=["eq1-scan", "--builtin", "counterexample", "--random=20", "--grid=1e-320:0.75:2",
+               "--format", "json"])
+def test_exit_codes_on_fuzzed_flags(flag_fuzz_dir, argv):
+    """Hostile flag values on every subcommand end in exit 0, 1 or 2: 2 only
+    with an error message, 1 only with a finding row."""
+    argv = [str(flag_fuzz_dir / a) if a in _FLAG_FUZZ_SPECS else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith(("shearmaps: error:", "usage:")), argv
+    if code == 1:
+        rows = json.loads(out.getvalue())["rows"]
+        assert any(r.get("violation") is True or r.get("conforms") is False for r in rows), argv
+
+
 def test_argparse_failures_return_2(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
@@ -340,8 +442,35 @@ def test_argparse_failures_return_2(capsys):
 
 
 def test_help_exits_zero(capsys):
+    """The top-level help lists every subcommand, and each subcommand's help
+    shows exactly its own options."""
     assert main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    text = capsys.readouterr().out
+    assert all(sub in text for sub in _OPTIONS)
+    for sub, options in _OPTIONS.items():
+        assert main([sub, "--help"]) == 0
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert shown - {"--help"} == options, sub
+
+
+@pytest.mark.parametrize("sub", ["starlike-scan", "eq1-scan"])
+def test_scan_without_sampler_flags_uses_sampler_defaults(sub, geo_spec, capsys):
+    """The CLI's sampler defaults are SamplerConfig's own."""
+    scan = eq1_scan if sub == "eq1-scan" else starlike_scan
+    f = shear_from_series(load_series_spec(geo_spec), label="geo.json")
+    report = scan(f, sampler=SamplerConfig())
+    assert main([sub, "--input", geo_spec, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for part in report.config_digest.split(";"):
+        key, _, value = part.partition("=")
+        assert doc["config"][key] == value, key
+    z1, z2 = report.witness.as_tuple()
+    row = doc["rows"][0]
+    assert [row["extremum"], row["witness_z1_re"], row["witness_z1_im"], row["witness_z2_re"],
+            row["witness_z2_im"], row["samples"], row["refused"], row["violation"]] == [
+        report.extremum, z1.real, z1.imag, z2.real, z2.imag, report.samples,
+        report.refused, report.violation,
+    ]
 
 
 def test_cli_runs_are_byte_identical(a27_spec, tmp_path):

@@ -225,7 +225,8 @@ def test_eq1_residual_matches_direct_formula():
 def test_eq1_residual_alpha_domain():
     f = geometric_shear()
     p = BallPoint(0.1, 0.1)
-    for alpha in (0.0, -0.3, 1.0000001, math.nan):
+    # 1e-200: alpha^2 underflows to 0; 1e-160: 1/alpha^2 overflows to inf
+    for alpha in (0.0, -0.3, 1.0000001, math.nan, 1e-200, 1e-160):
         with pytest.raises(DomainError):
             eq1_residual(f, alpha, p)
 

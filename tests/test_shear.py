@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bounded_nine_term_shear,
@@ -175,8 +177,9 @@ def test_embed_respects_degree_cap():
 
 def test_embed_search_stops_at_largest_stored_index(monkeypatch):
     """Past the largest stored index M, tail_sum(N) is the declared tail
-    bound alone, so n_max = 10^5 costs at most M tail sums and gives the
-    certificate of the full search."""
+    bound alone, and tail_sum never increases with N, so n_max = 10^5 costs
+    at most ceil(log2 M) + 2 tail sums and gives the certificate of the
+    full search."""
     import shearmaps.shear
 
     calls = []
@@ -188,17 +191,54 @@ def test_embed_search_stops_at_largest_stored_index(monkeypatch):
     coeffs = tuple(0.5 / k**3 for k in range(2, 201))
     unbounded = shear_from_series(CoefficientSeries(coeffs, tail_bound=math.inf))
     heavy = CoefficientSeries(coeffs, tail_bound=2.0)  # tail_sum(N) > 1 for every N
+    # tail_sum(N) <= 1 from some N deep inside the stored range
+    tight = CoefficientSeries(coeffs, tail_bound=1.0 - tail_sum(CoefficientSeries(coeffs), 150))
     expected = [
         (unbounded, embed_certificate(unbounded, n_max=64)),
         (shear_from_series(heavy), Certificate(
             "Embeddable", "NotCertified", margin=1.0 - tail_sum(heavy, 10**5)
         )),
+        (shear_from_series(tight), _linear_embed(tight, 10**5)),
     ]
+    assert expected[2][1].certified and expected[2][1].degree > 100
     monkeypatch.setattr(shearmaps.shear, "tail_sum", counted)
     for f, cert in expected:
         calls.clear()
         assert embed_certificate(f, n_max=10**5) == cert
-        assert len(calls) <= f.g.coefficients.max_index
+        assert len(calls) <= math.ceil(math.log2(f.g.coefficients.max_index)) + 2
+
+
+def _linear_embed(series, n_max):
+    """Reference: the upward search over N = 1..min(n_max, M)."""
+    last = math.inf
+    for n in range(1, min(n_max, series.max_index) + 1):
+        last = tail_sum(series, n)
+        if last <= 1.0:
+            return Certificate("Embeddable", "Certified", margin=1.0 - last, degree=n,
+                               s0_member=True)
+    margin = 1.0 - last if math.isfinite(last) else -math.inf
+    return Certificate("Embeddable", "NotCertified", margin=margin)
+
+
+_EXPONENTS = st.one_of(st.floats(-300.0, 308.0), st.floats(-3.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(_EXPONENTS, st.floats(0.0, 2.0 * math.pi)), max_size=40),
+    tail_bound=st.one_of(
+        st.sampled_from([None, 0.0, 1.0, math.inf]), st.floats(0.0, 2.0), st.floats(0.0, 1e308)
+    ),
+    n_max=st.integers(1, 60),
+)
+def test_embed_bisection_matches_linear_search(terms, tail_bound, n_max):
+    """Bisection finds the same degree and margin as the upward search, for
+    coefficients from 1e-300 to 1e308 and any tail bound."""
+    coeffs = tuple(10.0**e * complex(math.cos(t), math.sin(t)) for e, t in terms)
+    series = CoefficientSeries(coeffs, tail_bound=tail_bound)
+    assert embed_certificate(shear_from_series(series), n_max=n_max) == _linear_embed(
+        series, n_max
+    )
 
 
 def test_all_certificates_bundle():
