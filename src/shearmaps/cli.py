@@ -39,7 +39,7 @@ from .geometry import (
 )
 from .growth import growth_conformance_scan, shear_opnorm
 from .reporting import render
-from .series import BallPoint, load_series_spec
+from .series import BallPoint, load_series_spec, require_point_count
 from .shear import ShearingMap, all_certificates, embed_certificate, shear_from_series
 
 _CERT_COLUMNS = ("kind", "status", "degree", "margin")
@@ -86,8 +86,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
     if count < 1:
         raise ConfigError("grid count must be at least 1")
+    require_point_count(count, f"grid {text!r} count")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError("grid endpoints must be finite")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"grid {text!r}: the distance between its endpoints overflows")
     return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 

@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, OverflowRefusalError
-from .series import BallPoint, DiskFunction, as_ball_point
+from .series import BallPoint, DiskFunction, as_ball_point, require_point_count
 from .shear import ShearingMap
 
 DEFAULT_SEED = 1729
@@ -103,6 +103,13 @@ class SamplerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "probes", tuple(as_ball_point(p) for p in self.probes))
+        # the split grid holds at most n_split + 1 values (see _split_grid)
+        others = self.n_random + len(self.probes)
+        require_point_count(
+            self.n_radial * (self.n_split + 1) * self.n_phase + 2 * others,
+            f"sampling plan of up to {self.n_radial} x ({self.n_split} + 1) x {self.n_phase} "
+            f"structured and 2 x {others} other samples",
+        )
 
     @property
     def sample_count(self) -> int:
@@ -406,6 +413,8 @@ def eq1_scan(
         raise ConfigError(
             "the alpha grid has no alpha below 1, so no sample depends on g; nothing to report"
         )
+    require_point_count(len(avals) * cfg.sample_count,
+                        f"{len(avals)} alphas x {cfg.sample_count} samples")
     samples = _build_samples(cfg)
     pts, src, r1, phi1, given = samples
     n = src.size

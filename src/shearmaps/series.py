@@ -38,6 +38,19 @@ _COEFF_START = 2
 # Points per block of the Horner kernels (see _blockwise).
 _BLOCK = 8192
 
+# Most points a grid, sampling plan or set of circles may hold.  2^50
+# complex doubles fill 2^54 bytes (16 PiB), more than any host has, and
+# numpy's largest array (2^63 bytes) is 2^9 times larger: past it numpy
+# raises a ValueError instead of a MemoryError.
+MAX_POINTS = 2**50
+
+
+def require_point_count(count: int, what: str) -> None:
+    """Refuse a count (a Python int, so it never overflows) above MAX_POINTS
+    before any array of that size is built."""
+    if count > MAX_POINTS:
+        raise ConfigError(f"{what} ({count}) exceeds the limit of {MAX_POINTS} points")
+
 
 def require_finite_complex(value, what: str = "value") -> complex:
     z = complex(value)
@@ -185,6 +198,23 @@ def _horner_deriv(coeffs: tuple[complex, ...], z):
         return p
 
     return _blockwise(kernel, z)
+
+
+def circle_values(coeffs, radii, n: int) -> np.ndarray:
+    """p(r exp(2 pi i j/n)) for p(z) = sum_e coeffs[e] z^e, j = 0..n-1, one
+    row per radius r: one inverse DFT per circle.  With w = exp(2 pi i/n),
+    p(r w^j) = sum_m x[m] w^(jm) for x[m] = sum_{e = m mod n} coeffs[e] r^e,
+    so a degree at or above n folds into n slots and stays exact.  numpy.fft
+    is imported on the first call, so importing the package does not load it."""
+    from numpy import fft
+
+    c = np.asarray(coeffs, dtype=complex)
+    r = np.asarray(radii, dtype=float)
+    x = np.zeros((r.size, max(1, -(-c.size // n)) * n), dtype=complex)
+    x[:, :c.size] = c * r[:, None] ** np.arange(c.size)
+    if x.shape[1] > n:
+        x = x.reshape(r.size, -1, n).sum(axis=1)
+    return fft.ifft(x, axis=1, norm="forward")
 
 
 def series_eval(series: CoefficientSeries, zeta) -> complex:

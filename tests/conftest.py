@@ -5,9 +5,11 @@ rest) is the workhorse: its evaluation, derivative, coefficient sums and
 tails all have closed forms, so tests can pin results to independent oracles.
 """
 
+import dataclasses
+
 import numpy as np
 
-from shearmaps import BallPoint, CoefficientSeries, shear_from_series
+from shearmaps import BallPoint, CoefficientSeries, ShearingMap, shear_from_series
 
 GEOMETRIC_M = 40
 # sum_{k>M} k 2^-k = (M+2) * 2^(1-M) exactly; for M=40 that is 84 * 2^-41
@@ -57,3 +59,23 @@ def random_ball_points(rng: np.random.Generator, n: int, radius: float = 0.95):
     z1 = s * np.sqrt(1.0 - t) * np.exp(1j * p1)
     z2 = s * np.sqrt(t) * np.exp(1j * p2)
     return [BallPoint(complex(a), complex(b)) for a, b in zip(z1, z2)]
+
+
+KERNELS = ("eval_raw", "deriv_raw", "log_abs_raw", "deriv_log_abs_raw")
+
+
+def counted_shear(f):
+    """f with every supplied kernel wrapped to count the points it receives."""
+    counts = {}
+
+    def counted(name, fn):
+        def kernel(z):
+            counts[name] = counts.get(name, 0) + np.size(z)
+            return fn(z)
+        return kernel
+
+    g = f.g
+    kernels = {k: counted(k, getattr(g, k)) for k in KERNELS if getattr(g, k) is not None}
+    wrapped = ShearingMap(dataclasses.replace(g, **kernels))
+    counts.clear()  # the normalization check at 0
+    return wrapped, counts

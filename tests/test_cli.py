@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,26 @@ def test_parse_grid_forms():
     for bad in ("0.5", "a:b", "0:1:0", "0:1:2:3", "inf:1:2"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+def test_parse_grid_refuses_overflowing_span_and_huge_count():
+    """B - A past double range would make linspace return NaN and inf with
+    RuntimeWarnings; a count past MAX_POINTS would crash numpy."""
+    for text in ("-1e308:1e308:3", "1e308:-1e308:4", "-1.7e308:1.7e308:1"):
+        with pytest.raises(ConfigError, match=re.escape(repr(text))):
+            parse_grid(text)
+    assert parse_grid("-8e307:8e307:3") == (-8e307, 0.0, 8e307)
+    with pytest.raises(ConfigError, match=str(10**30)):
+        parse_grid(f"0:1:{10**30}")
+
+
+def test_counterexample_overflowing_grid_exits_2_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["counterexample", "--grid=1e308:-1e308:4"]) == 2
+    assert capsys.readouterr().err == (
+        "shearmaps: error: grid '1e308:-1e308:4': the distance between its endpoints overflows\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +273,7 @@ def test_exit_2_cases(tmp_path, geo_spec, capsys):
 
 
 _TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"]
+_HUGE = str(10**30)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +299,17 @@ _TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"
          None),
         # alpha^2 underflows to 0, so 1/alpha^2 is not a double
         (["eq1-scan", *_TINY, "--grid", "1e-320:0.75:2"], None),
+        # counts past numpy's largest array, refused before any allocation
+        (["growth-scan", "--grid", f"0.1:0.9:{_HUGE}"], None),
+        (["growth-scan", "--angular", _HUGE], None),
+        (["starlike-scan", "--s-grid", _HUGE], None),
+        (["starlike-scan", "--t-grid", _HUGE], None),
+        (["eq1-scan", "--phase-grid", _HUGE], None),
+        (["eq1-scan", "--random", _HUGE], None),
+        (["eq1-scan", *_TINY, "--grid", f"0.1:0.9:{_HUGE}"], None),
+        (["counterexample", "--grid", f"0.6:0.9:{_HUGE}"], None),
+        # the distance between the endpoints overflows
+        (["growth-scan", "--grid=-1e308:1e308:3"], None),
     ],
     ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
          "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting",
@@ -284,7 +317,10 @@ _TINY = ["--s-grid", "3", "--t-grid", "3", "--phase-grid", "2", "--random", "20"
          "overflowing-a2-starlike", "overflowing-a2-eq1",
          "nan-c-report", "inf-c-report",
          "oversized-angular", "oversized-radius-grid", "oversized-sampler",
-         "tiny-alpha"],
+         "tiny-alpha",
+         "huge-radius-grid", "huge-angular", "huge-s-grid", "huge-t-grid",
+         "huge-phase-grid", "huge-random", "huge-alpha-grid", "huge-counterexample-grid",
+         "overflowing-grid-span"],
 )
 def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     """Exit 1 means a finding; inputs that cannot be evaluated, and scans
@@ -296,7 +332,10 @@ def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     source = [] if argv[0] == "counterexample" else ["--input", str(path)]
     code = main(argv[:1] + source + argv[1:])
     assert code == 2
-    assert capsys.readouterr().err.startswith("shearmaps: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("shearmaps: error:")
+    if any(_HUGE in a for a in argv):
+        assert _HUGE in err  # the message names the refused count
 
 
 def test_eq1_grid_without_alpha_below_one_exits_2(geo_spec, capsys):

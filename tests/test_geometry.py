@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_shear, monomial_shear, random_ball_points
+from conftest import (
+    KERNELS,
+    counted_shear,
+    geometric_shear,
+    monomial_shear,
+    random_ball_points,
+)
 from shearmaps import (
     BallPoint,
     CoefficientSeries,
@@ -169,6 +175,9 @@ def test_sampler_validation():
         SamplerConfig(n_random=-1)
     with pytest.raises(DomainError):
         SamplerConfig(probes=((0.9, 0.9),))
+    # refused from the counts alone, before a plan past numpy's limits is built
+    with pytest.raises(ConfigError, match=str(2**48)):
+        SamplerConfig(n_phase=2**48)
 
 
 def test_trace_rows_reproduce_values(tmp_path):
@@ -262,6 +271,9 @@ def test_eq1_scan_validation():
     # at alpha = 1 the residual is 1 - |z|^2 for every map
     with pytest.raises(ConfigError, match="no alpha below 1"):
         eq1_scan(f, alphas=(1.0, 1.0), sampler=SMALL)
+    # each count is allowed alone, the alpha x sample layout is not
+    with pytest.raises(ConfigError, match="20000 alphas"):
+        eq1_scan(f, alphas=(0.5,) * 20000, sampler=SamplerConfig(n_random=5 * 10**10))
 
 
 def test_eq1_scan_witness_reproduces_extremum():
@@ -340,26 +352,6 @@ def test_boundedness_scan_validation():
 
 # ---------------------------------------------------------------------------
 # kernel evaluations per sample
-
-KERNELS = ("eval_raw", "deriv_raw", "log_abs_raw", "deriv_log_abs_raw")
-
-
-def counted_shear(f):
-    """f with every supplied kernel wrapped to count the points it receives."""
-    counts = {}
-
-    def counted(name, fn):
-        def kernel(z):
-            counts[name] = counts.get(name, 0) + np.size(z)
-            return fn(z)
-        return kernel
-
-    g = f.g
-    kernels = {k: counted(k, getattr(g, k)) for k in KERNELS if getattr(g, k) is not None}
-    wrapped = ShearingMap(dataclasses.replace(g, **kernels))
-    counts.clear()  # the normalization check at 0
-    return wrapped, counts
-
 
 # two probes at z2 = 0 (also a structured z2), two sharing z2 = 0.5i
 _PROBED = dataclasses.replace(
