@@ -91,38 +91,35 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError("grid endpoints must be finite")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid {text!r}: the distance between its endpoints overflows")
-    return tuple(float(v) for v in np.linspace(lo, hi, count))
+    # (count - 1) * step, the last point, can round past double range;
+    # linspace then sets that point to hi, so every value is finite
+    with np.errstate(over="ignore"):
+        return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
 def _load_map(args: argparse.Namespace) -> ShearingMap:
+    """The --builtin map, or the --input spec labeled by its base name,
+    which the report header prints and so must be printable."""
     if (args.input_path is None) == (args.builtin is None):
         raise ConfigError("exactly one of --input / --builtin is required")
     if args.builtin is not None:
         if args.builtin != BUILTIN_NAME:
             raise ConfigError(f"unknown builtin {args.builtin!r}")
         return counterexample_map()
-    series = load_series_spec(args.input_path)
-    return shear_from_series(series, label=os.path.basename(args.input_path))
+    label = os.path.basename(args.input_path)
+    if not label.isprintable():
+        raise ConfigError(f"input file name {label!r} is not printable")
+    return shear_from_series(load_series_spec(args.input_path), label=label)
 
 
-def _source_comment(args: argparse.Namespace) -> tuple[str, str]:
-    if args.builtin is not None:
-        return ("builtin", args.builtin)
-    return ("input", os.path.basename(args.input_path))
+def _source_comment(args: argparse.Namespace, shear: ShearingMap) -> tuple[str, str]:
+    return ("builtin" if args.builtin is not None else "input", shear.label)
 
 
 def _sampler(args: argparse.Namespace) -> SamplerConfig:
     """The parser stores each sampler flag under its SamplerConfig field name."""
     fields = dataclasses.fields(SamplerConfig)
     return SamplerConfig(**{f.name: getattr(args, f.name) for f in fields})
-
-
-def _digest_comments(digest: str) -> list[tuple[str, str]]:
-    pairs = []
-    for part in digest.split(";"):
-        key, _, value = part.partition("=")
-        pairs.append((key, value))
-    return pairs
 
 
 def _scan_row(report) -> list:
@@ -147,11 +144,7 @@ def _cmd_certify(args: argparse.Namespace):
         certs = [embed_certificate(shear, n_max=args.n_max)]
     else:
         certs = all_certificates(shear, n_max=args.n_max)
-    comments = [
-        ("subcommand", args.subcommand),
-        _source_comment(args),
-        ("n_max", str(args.n_max)),
-    ]
+    comments = [_source_comment(args, shear), ("n_max", str(args.n_max))]
     rows = [[c.kind, c.status, c.degree, c.margin] for c in certs]
     return comments, _CERT_COLUMNS, rows, (), 0
 
@@ -166,8 +159,7 @@ def _cmd_scan(args: argparse.Namespace):
     else:
         report = starlike_scan(shear, **kwargs)
         columns = _SCAN_COLUMNS
-    comments = [("subcommand", args.subcommand), *_digest_comments(report.config_digest)]
-    return comments, columns, [_scan_row(report)], (), 1 if report.violation else 0
+    return report.config, columns, [_scan_row(report)], (), 1 if report.violation else 0
 
 
 def _cmd_growth_scan(args: argparse.Namespace):
@@ -177,8 +169,7 @@ def _cmd_growth_scan(args: argparse.Namespace):
         shear, radii, n_angular=args.angular, workers=args.workers
     )
     comments = [
-        ("subcommand", "growth-scan"),
-        _source_comment(args),
+        _source_comment(args, shear),
         ("radii", ":".join(repr(r) for r in radii)),
         ("angular", str(args.angular)),
     ]
@@ -192,7 +183,6 @@ def _cmd_counterexample(args: argparse.Namespace):
     grid = args.grid if args.grid is not None else DEFAULT_R_GRID
     scan = divergence_scan(grid, c_report=args.c_report)
     comments = [
-        ("subcommand", "counterexample"),
         ("builtin", BUILTIN_NAME),
         ("r_grid", ":".join(repr(r) for r in grid)),
         ("c_report", repr(args.c_report)),
@@ -211,16 +201,12 @@ def _cmd_counterexample(args: argparse.Namespace):
 
 def _cmd_eval(args: argparse.Namespace):
     shear = _load_map(args)
+    comments = [_source_comment(args, shear)]
     if args.truncate is not None:
         shear = shear.truncated(args.truncate)
+        comments.append(("truncate", str(args.truncate)))
     if not args.probes:
         raise ConfigError("eval requires at least one --probe")
-    comments = [
-        ("subcommand", "eval"),
-        _source_comment(args),
-    ]
-    if args.truncate is not None:
-        comments.append(("truncate", str(args.truncate)))
     columns = (
         "z1_re",
         "z1_im",
@@ -275,6 +261,7 @@ def run(args: argparse.Namespace) -> int:
     if handler is None:
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     comments, columns, rows, trailer, status = handler(args)
+    comments = [("subcommand", args.subcommand), *comments]
     text = render(args.format, comments, columns, rows, trailer)
     if args.out is None:
         sys.stdout.write(text)

@@ -120,7 +120,11 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class ScanReport:
     """Result of a sampled scan: the extremum, a witness that reproduces it,
-    and enough configuration to regenerate the scan byte-for-byte."""
+    and enough configuration to regenerate the scan byte-for-byte.  config
+    holds that configuration as (key, value) string pairs, the report's
+    `# key=value` header rows; a value is kept verbatim, whatever characters
+    it holds.  config_digest joins the pairs as key=value;key=value, the
+    first line of a trace."""
 
     kind: str
     extremum: float
@@ -129,8 +133,12 @@ class ScanReport:
     refused: int
     violation: bool
     threshold: float
-    config_digest: str
+    config: tuple[tuple[str, str], ...]
     alpha: float | None = None
+
+    @property
+    def config_digest(self) -> str:
+        return ";".join(f"{k}={v}" for k, v in self.config)
 
 
 def starlike_quantity(f: ShearingMap, point) -> float:
@@ -307,21 +315,32 @@ def _report(
     if math.isfinite(extremum):
         extremum = eq1_residual(f, alpha, witness) if eq1 else starlike_quantity(f, witness)
 
-    parts = [
-        f"kind={kind}",
-        f"input={f.label or 'shear'}",
-        f"radius={cfg.radius!r}",
-        f"s_grid={cfg.n_radial}",
-        f"t_grid={cfg.n_split}",
-        f"phase_grid={cfg.n_phase}",
-        f"random={cfg.n_random}",
-        f"seed={cfg.seed}",
-        f"probes={len(cfg.probes)}",
+    config = [
+        ("kind", kind),
+        ("input", f.label or "shear"),
+        ("radius", repr(cfg.radius)),
+        ("s_grid", str(cfg.n_radial)),
+        ("t_grid", str(cfg.n_split)),
+        ("phase_grid", str(cfg.n_phase)),
+        ("random", str(cfg.n_random)),
+        ("seed", str(cfg.seed)),
+        ("probes", str(len(cfg.probes))),
     ]
     if eq1:
-        parts += ["label=necessary-condition-check",
-                  f"alphas={alphas[0]!r}:{alphas[-1]!r}:{len(alphas)}"]
-    digest = ";".join(parts + [f"log_limit={SCAN_LOG_LIMIT!r}", f"refused={refused}"])
+        config += [("label", "necessary-condition-check"),
+                   ("alphas", f"{alphas[0]!r}:{alphas[-1]!r}:{len(alphas)}")]
+    config += [("log_limit", repr(SCAN_LOG_LIMIT)), ("refused", str(refused))]
+    report = ScanReport(
+        kind=kind,
+        extremum=extremum,
+        witness=witness,
+        samples=n,
+        refused=refused,
+        violation=extremum < VIOLATION_THRESHOLD,
+        threshold=VIOLATION_THRESHOLD,
+        config=tuple(config),
+        alpha=alpha,
+    )
     if trace_path is not None:
         z1, z2 = z1_of(np.arange(flat.size)), np.tile(pts[src], len(values))
         s = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
@@ -333,21 +352,11 @@ def _report(
             columns.insert(0, np.repeat(alphas, n))
             header.insert(0, "alpha")
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# {digest}\n")
+            fh.write(f"# {report.config_digest}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows([f"{x:.17g}" for x in row] for row in zip(*columns))
-    return ScanReport(
-        kind=kind,
-        extremum=extremum,
-        witness=witness,
-        samples=n,
-        refused=refused,
-        violation=extremum < VIOLATION_THRESHOLD,
-        threshold=VIOLATION_THRESHOLD,
-        config_digest=digest,
-        alpha=alpha,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------

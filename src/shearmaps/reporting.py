@@ -15,12 +15,8 @@ import math
 
 
 def format_real(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    # .17g prints nan (whatever its sign bit), inf and -inf by itself
+    return f"{float(x):.17g}"
 
 
 def _csv_cell(value) -> str:

@@ -18,7 +18,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -217,18 +217,6 @@ def circle_values(coeffs, radii, n: int) -> np.ndarray:
     return fft.ifft(x, axis=1, norm="forward")
 
 
-def series_eval(series: CoefficientSeries, zeta) -> complex:
-    """Evaluate the stored polynomial part at a point of the open disk."""
-    z = require_disk_point(zeta)
-    return complex(_horner(series.coeffs, z))
-
-
-def series_deriv_eval(series: CoefficientSeries, zeta) -> complex:
-    """Evaluate the derivative of the stored polynomial part."""
-    z = require_disk_point(zeta)
-    return complex(_horner_deriv(series.coeffs, z))
-
-
 def _sum_with_tail(terms, series: CoefficientSeries) -> float:
     """fsum of nonnegative terms plus the declared tail bound; inf when the
     sum leaves double range (fsum raises on an intermediate overflow)."""
@@ -267,14 +255,6 @@ def tail_sum(series: CoefficientSeries, n: int) -> float:
     )
 
 
-def re_inner(u, v) -> float:
-    """Re<u, v> with conjugation on the second argument."""
-    u1, u2 = u.as_tuple() if isinstance(u, BallPoint) else u
-    v1, v2 = v.as_tuple() if isinstance(v, BallPoint) else v
-    return (complex(u1) * complex(v1).conjugate()
-            + complex(u2) * complex(v2).conjugate()).real
-
-
 @dataclass(frozen=True)
 class DiskFunction:
     """A normalized holomorphic function on the unit disk.
@@ -285,7 +265,8 @@ class DiskFunction:
     evaluators belong to closed forms only, whose log|g| and log|g'| stay
     finite past double overflow; without one, log|g| is derived from the
     computed value (log_abs_of).  coefficients is None for closed-form
-    representations without coefficient access.
+    representations without coefficient access.  Series maps come from
+    disk_function_from_series; closed forms call this constructor directly.
     """
 
     eval_raw: Callable = field(repr=False)
@@ -338,12 +319,6 @@ class DiskFunction:
             raise OverflowRefusalError(f"|g'({z!r})| overflows double precision")
         return value
 
-    def log_abs(self, zeta) -> float:
-        """log|g(zeta)|, overflow-safe for closed forms; -inf at zeros of g."""
-        z = require_disk_point(zeta)
-        with np.errstate(all="ignore"):
-            return float(self.log_abs_of(z, self.eval_raw(z)))
-
 
 def disk_function_from_series(series: CoefficientSeries, label: str = "") -> DiskFunction:
     coeffs = series.coeffs
@@ -358,24 +333,6 @@ def disk_function_from_series(series: CoefficientSeries, label: str = "") -> Dis
         eval_raw=eval_raw,
         deriv_raw=deriv_raw,
         coefficients=series,
-        label=label,
-    )
-
-
-def disk_function_from_callables(
-    eval_raw: Callable,
-    deriv_raw: Callable,
-    log_abs_raw: Callable | None = None,
-    deriv_log_abs_raw: Callable | None = None,
-    label: str = "",
-) -> DiskFunction:
-    """Wrap closed-form evaluators (no coefficient access)."""
-    return DiskFunction(
-        eval_raw=eval_raw,
-        deriv_raw=deriv_raw,
-        log_abs_raw=log_abs_raw,
-        deriv_log_abs_raw=deriv_log_abs_raw,
-        coefficients=None,
         label=label,
     )
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -78,6 +79,9 @@ def test_parse_grid_refuses_overflowing_span_and_huge_count():
         with pytest.raises(ConfigError, match=re.escape(repr(text))):
             parse_grid(text)
     assert parse_grid("-8e307:8e307:3") == (-8e307, 0.0, 8e307)
+    # 3 * (MAX / 3) rounds past double range inside linspace
+    top = parse_grid(f"0:{sys.float_info.max!r}:4")
+    assert all(map(math.isfinite, top)) and top[-1] == sys.float_info.max
     with pytest.raises(ConfigError, match=str(10**30)):
         parse_grid(f"0:1:{10**30}")
 
@@ -459,6 +463,9 @@ def _flag_argv(draw):
 # alpha^2 underflows: a ZeroDivisionError traceback before 1/alpha^2 was checked
 @example(argv=["eq1-scan", "--builtin", "counterexample", "--random=20", "--grid=1e-320:0.75:2",
                "--format", "json"])
+# the last grid point overflowed inside numpy.linspace with a RuntimeWarning
+@example(argv=["eq1-scan", "--input", "geo.json", "--grid=0.0:1.7976931348623157e+308:4",
+               "--format", "json"])
 def test_exit_codes_on_fuzzed_flags(flag_fuzz_dir, argv):
     """Hostile flag values on every subcommand end in exit 0, 1 or 2: 2 only
     with an error message, 1 only with a finding row."""
@@ -500,8 +507,7 @@ def test_scan_without_sampler_flags_uses_sampler_defaults(sub, geo_spec, capsys)
     report = scan(f, sampler=SamplerConfig())
     assert main([sub, "--input", geo_spec, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    for part in report.config_digest.split(";"):
-        key, _, value = part.partition("=")
+    for key, value in report.config:
         assert doc["config"][key] == value, key
     z1, z2 = report.witness.as_tuple()
     row = doc["rows"][0]
@@ -510,6 +516,59 @@ def test_scan_without_sampler_flags_uses_sampler_defaults(sub, geo_spec, capsys)
         report.extremum, z1.real, z1.imag, z2.real, z2.imag, report.samples,
         report.refused, report.violation,
     ]
+
+
+_NAME_CHARS = st.characters(blacklist_characters="/\0", blacklist_categories=("Cs",))
+
+
+@pytest.fixture(scope="module")
+def name_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("names")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.text(_NAME_CHARS, min_size=1, max_size=40).filter(
+        lambda s: s.isprintable() and s not in (".", "..")
+    ),
+    sub=st.sampled_from(["starlike-scan", "eq1-scan"]),
+)
+@example(name="a;seed=7.json", sub="starlike-scan")
+@example(name="x=y.json", sub="eq1-scan")
+def test_scan_header_is_the_report_config(name_dir, name, sub):
+    """The CSV header rows are the subcommand and then the report's own
+    config pairs; the input is the file name verbatim, whatever ; or = it
+    holds."""
+    path = name_dir / name
+    path.write_text(dump_series_spec(geometric_series()))
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main([sub, "--input", str(path), *_TINY]) == 0
+    finally:
+        path.unlink()
+    scan = eq1_scan if sub == "eq1-scan" else starlike_scan
+    sampler = SamplerConfig(n_radial=3, n_split=3, n_phase=2, n_random=20)
+    report = scan(shear_from_series(geometric_series(), label=name), sampler=sampler)
+    lines = out.getvalue().split("\n")
+    columns = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert lines[columns].startswith("extremum,")
+    assert all(line.startswith("# ") for line in lines[:columns])
+    header = [tuple(line[2:].split("=", 1)) for line in lines[:columns]]
+    assert header == [("subcommand", sub), *report.config]
+    assert dict(header)["input"] == name
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["starlike-scan", *_TINY]], ids=lambda a: a[0])
+def test_non_printable_file_name_exits_2(argv, tmp_path, capsys):
+    """A line break in the input's base name would put a bare line into the
+    CSV header, so a name that is not printable is refused, quoted."""
+    name = "nl\nx.json"
+    (tmp_path / name).write_text(dump_series_spec(geometric_series()))
+    assert main(argv[:1] + ["--input", str(tmp_path / name)] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"shearmaps: error: input file name {name!r} is not printable\n"
 
 
 def test_cli_runs_are_byte_identical(a27_spec, tmp_path):

@@ -27,7 +27,6 @@ from shearmaps import (
     boundedness_scan,
     counterexample_map,
     default_alpha_grid,
-    disk_function_from_callables,
     eq1_residual,
     eq1_scan,
     identity_shear,
@@ -36,7 +35,7 @@ from shearmaps import (
     starlike_scan,
 )
 from shearmaps.geometry import _build_samples
-from shearmaps.series import _BLOCK, _horner, re_inner
+from shearmaps.series import _BLOCK, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -50,7 +49,7 @@ def generic_starlike_quantity(f, p):
     """Independent route: Re<[df(z)]^-1 f(z), z> via a numpy linear solve."""
     j = np.array(f.jacobian(p).as_rows(), dtype=complex)
     u = np.linalg.solve(j, np.array(f.eval(p), dtype=complex))
-    return re_inner((complex(u[0]), complex(u[1])), p)
+    return (u[0] * p.z1.conjugate() + u[1] * p.z2.conjugate()).real
 
 
 @pytest.mark.parametrize("a2", [0.5, 2.7])
@@ -425,7 +424,7 @@ def test_derived_log_matches_explicit_evaluator(terms):
         with np.errstate(all="ignore"):
             return np.log(np.abs(_horner(coeffs, z)))
 
-    explicit = ShearingMap(disk_function_from_callables(
+    explicit = ShearingMap(DiskFunction(
         derived.g.eval_raw, derived.g.deriv_raw, log_abs_raw, label="random"
     ))
     for scan in (starlike_scan, eq1_scan):

@@ -24,47 +24,42 @@ from shearmaps import (
     OverflowRefusalError,
     coeff_sum_s1,
     coeff_sum_s2,
-    disk_function_from_callables,
     disk_function_from_series,
     dump_series_spec,
     parse_series_spec,
     tail_sum,
 )
-from shearmaps.series import _BLOCK, _horner, _horner_deriv, series_deriv_eval, series_eval
+from shearmaps.series import _BLOCK, _horner, _horner_deriv
 
 
 def test_geometric_eval_matches_closed_form():
     """Stored-polynomial eval vs the full-series closed form; the dropped
     tail is below 2^-82 on |zeta| <= 0.9."""
-    geo = geometric_series()
+    g = disk_function_from_series(geometric_series())
     rng = np.random.default_rng(11)
     for _ in range(200):
         zeta = complex(*rng.uniform(-0.6, 0.6, 2))
-        np.testing.assert_allclose(
-            series_eval(geo, zeta), geometric_eval(zeta), rtol=1e-13, atol=1e-18
-        )
-    assert series_eval(geo, 0.5) == pytest.approx(0.08333333333333333, rel=1e-15)
+        np.testing.assert_allclose(g.eval(zeta), geometric_eval(zeta), rtol=1e-13, atol=1e-18)
+    assert g.eval(0.5) == pytest.approx(0.08333333333333333, rel=1e-15)
 
 
 def test_geometric_deriv_matches_closed_form():
-    geo = geometric_series()
+    g = disk_function_from_series(geometric_series())
     rng = np.random.default_rng(12)
     for _ in range(200):
         zeta = complex(*rng.uniform(-0.6, 0.6, 2))
-        np.testing.assert_allclose(
-            series_deriv_eval(geo, zeta), geometric_deriv(zeta), rtol=1e-13, atol=1e-18
-        )
-    assert series_deriv_eval(geo, 0.5) == pytest.approx(0.3888888888888889, rel=1e-15)
+        np.testing.assert_allclose(g.deriv(zeta), geometric_deriv(zeta), rtol=1e-13, atol=1e-18)
+    assert g.deriv(0.5) == pytest.approx(0.3888888888888889, rel=1e-15)
 
 
 def test_deriv_matches_finite_difference():
-    geo = geometric_series()
+    g = disk_function_from_series(geometric_series())
     rng = np.random.default_rng(13)
     h = 1e-6
     for _ in range(50):
         zeta = complex(*rng.uniform(-0.55, 0.55, 2))
-        fd = (series_eval(geo, zeta + h) - series_eval(geo, zeta - h)) / (2 * h)
-        np.testing.assert_allclose(series_deriv_eval(geo, zeta), fd, rtol=1e-7)
+        fd = (g.eval(zeta + h) - g.eval(zeta - h)) / (2 * h)
+        np.testing.assert_allclose(g.deriv(zeta), fd, rtol=1e-7)
 
 
 def test_coefficient_sums_closed_forms():
@@ -139,11 +134,11 @@ def test_ball_point_validation():
 
 
 def test_series_eval_rejects_points_outside_disk():
-    geo = geometric_series()
+    g = disk_function_from_series(geometric_series())
     with pytest.raises(DomainError):
-        series_eval(geo, 1.0)
+        g.eval(1.0)
     with pytest.raises(DomainError):
-        series_deriv_eval(geo, 1.0 + 0.2j)
+        g.deriv(1.0 + 0.2j)
 
 
 def test_spec_round_trip():
@@ -189,14 +184,10 @@ def test_spec_parse_error_reports_position():
 def test_normalization_guard():
     # g(0) != 0
     with pytest.raises(NormalizationError):
-        disk_function_from_callables(
-            lambda z: z + 1.0, lambda z: 1.0 + 0.0 * z, lambda z: 0.0 * abs(z)
-        )
+        DiskFunction(lambda z: z + 1.0, lambda z: 1.0 + 0.0 * z, lambda z: 0.0 * abs(z))
     # g'(0) != 0
     with pytest.raises(NormalizationError):
-        disk_function_from_callables(
-            lambda z: 0.5 * z, lambda z: 0.5 + 0.0 * z, lambda z: 0.0 * abs(z)
-        )
+        DiskFunction(lambda z: 0.5 * z, lambda z: 0.5 + 0.0 * z, lambda z: 0.0 * abs(z))
 
 
 def test_overflow_refusal():
