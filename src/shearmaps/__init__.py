@@ -8,6 +8,8 @@ operator-norm growth for the certified class, and exhibits a concrete shear
 whose differential outgrows every cubic-power bound.
 """
 
+from types import ModuleType as _ModuleType
+
 from .counterexample import (
     BUILTIN_NAME,
     DEFAULT_R_GRID,
@@ -82,64 +84,6 @@ from .shear import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAME",
-    "DEFAULT_R_GRID",
-    "DEFAULT_SEED",
-    "OVERFLOW_LOG_THRESHOLD",
-    "RATIO_CEILING",
-    "STARLIKE_SUM_LIMIT",
-    "VIOLATION_THRESHOLD",
-    "BallPoint",
-    "Certificate",
-    "CoefficientSeries",
-    "ConfigError",
-    "DiskFunction",
-    "DivergenceRecord",
-    "DivergenceScan",
-    "DomainError",
-    "GrowthRecord",
-    "Jacobian2",
-    "NormalizationError",
-    "OverflowRefusalError",
-    "SamplerConfig",
-    "ScanReport",
-    "ShearingMap",
-    "ShearmapsError",
-    "UncertifiedMapError",
-    "UnsupportedRepresentationError",
-    "all_certificates",
-    "boundedness_scan",
-    "ce_lower_bound",
-    "coeff_sum_s1",
-    "coeff_sum_s2",
-    "counterexample_disk_function",
-    "counterexample_map",
-    "default_alpha_grid",
-    "disk_function_from_series",
-    "divergence_ratio",
-    "divergence_scan",
-    "dump_series_spec",
-    "embed_certificate",
-    "eq1_residual",
-    "eq1_scan",
-    "growth_conformance_scan",
-    "identity_shear",
-    "load_series_spec",
-    "opnorm2",
-    "opnorm2_pair",
-    "parse_series_spec",
-    "radial_image_bound",
-    "s0_growth_bound",
-    "schwarz_pick_bound",
-    "shear_from_series",
-    "shear_opnorm",
-    "simplified_lower_bound",
-    "starlike_certificate",
-    "starlike_quantity",
-    "starlike_scan",
-    "starshapelike_certificate",
-    "tail_sum",
-    "unipotent_opnorm",
-    "unit_modulus_check",
-]
+# the imports above are the one declaration of the public API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

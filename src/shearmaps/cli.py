@@ -26,7 +26,7 @@ import numpy as np
 
 from .counterexample import (
     BUILTIN_NAME,
-    DEFAULT_R_GRID,
+    DEFAULT_C_REPORT,
     counterexample_map,
     divergence_scan,
 )
@@ -37,10 +37,16 @@ from .geometry import (
     starlike_quantity,
     starlike_scan,
 )
-from .growth import growth_conformance_scan, shear_opnorm
+from .growth import DEFAULT_ANGULAR, growth_conformance_scan, shear_opnorm
 from .reporting import render
 from .series import BallPoint, load_series_spec, require_point_count
-from .shear import ShearingMap, all_certificates, embed_certificate, shear_from_series
+from .shear import (
+    DEFAULT_N_MAX,
+    ShearingMap,
+    all_certificates,
+    embed_certificate,
+    shear_from_series,
+)
 
 _CERT_COLUMNS = ("kind", "status", "degree", "margin")
 _SCAN_COLUMNS = (
@@ -164,13 +170,12 @@ def _cmd_scan(args: argparse.Namespace):
 
 def _cmd_growth_scan(args: argparse.Namespace):
     shear = _load_map(args)
-    radii = args.grid if args.grid is not None else parse_grid("0.1:0.9:9")
     records = growth_conformance_scan(
-        shear, radii, n_angular=args.angular, workers=args.workers
+        shear, args.grid, n_angular=args.angular, workers=args.workers
     )
     comments = [
         _source_comment(args, shear),
-        ("radii", ":".join(repr(r) for r in radii)),
+        ("radii", ":".join(repr(r) for r in args.grid)),
         ("angular", str(args.angular)),
     ]
     columns = ("r", "sup_norm", "bound", "conforms")
@@ -180,11 +185,10 @@ def _cmd_growth_scan(args: argparse.Namespace):
 
 
 def _cmd_counterexample(args: argparse.Namespace):
-    grid = args.grid if args.grid is not None else DEFAULT_R_GRID
-    scan = divergence_scan(grid, c_report=args.c_report)
+    scan = divergence_scan(args.grid, c_report=args.c_report)
     comments = [
         ("builtin", BUILTIN_NAME),
-        ("r_grid", ":".join(repr(r) for r in grid)),
+        ("r_grid", ":".join(repr(rec.r) for rec in scan.records)),
         ("c_report", repr(args.c_report)),
     ]
     columns = ("r", "opnorm", "lower_bound", "simplified_bound", "ratio", "ceiling")
@@ -245,22 +249,8 @@ def _cmd_eval(args: argparse.Namespace):
     return comments, columns, rows, (), 0
 
 
-_HANDLERS = {
-    "certify": _cmd_certify,
-    "embed": _cmd_certify,
-    "starlike-scan": _cmd_scan,
-    "eq1-scan": _cmd_scan,
-    "growth-scan": _cmd_growth_scan,
-    "counterexample": _cmd_counterexample,
-    "eval": _cmd_eval,
-}
-
-
 def run(args: argparse.Namespace) -> int:
-    handler = _HANDLERS.get(args.subcommand)
-    if handler is None:
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
-    comments, columns, rows, trailer, status = handler(args)
+    comments, columns, rows, trailer, status = args.handler(args)
     comments = [("subcommand", args.subcommand), *comments]
     text = render(args.format, comments, columns, rows, trailer)
     if args.out is None:
@@ -314,41 +304,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, summary, n_max_help in (
-        ("certify", "all three coefficient certificates", "largest embedding degree to try"),
-        ("embed", "embedding certificate with minimal degree", None),
+    for name, summary in (
+        ("certify", "all three coefficient certificates"),
+        ("embed", "embedding certificate with minimal degree"),
     ):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=_cmd_certify)
         _add_source_args(p)
-        p.add_argument("--n-max", type=int, default=64, metavar="N", help=n_max_help)
+        p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, metavar="N",
+                       help="largest embedding degree to try")
         _add_output_args(p)
 
     p = sub.add_parser("starlike-scan", help="scan the starlike quantity for violations")
+    p.set_defaults(handler=_cmd_scan)
     _add_source_args(p)
     _add_sampler_args(p)
     _add_output_args(p)
 
     p = sub.add_parser("eq1-scan", help="scan the subordination-chain residual")
+    p.set_defaults(handler=_cmd_scan)
     _add_source_args(p)
     p.add_argument("--grid", metavar="A:B[:N]", help="alpha grid (default 0.1:1.0:10)")
     _add_sampler_args(p)
     _add_output_args(p)
 
     p = sub.add_parser("growth-scan", help="operator-norm growth vs the certified bound")
+    p.set_defaults(handler=_cmd_growth_scan)
     _add_source_args(p)
-    p.add_argument("--grid", metavar="A:B[:N]", help="radius grid (default 0.1:0.9:9)")
-    p.add_argument("--angular", type=int, default=2048, metavar="N",
+    p.add_argument("--grid", default="0.1:0.9:9", metavar="A:B[:N]",
+                   help="radius grid (default %(default)s)")
+    p.add_argument("--angular", type=int, default=DEFAULT_ANGULAR, metavar="N",
                    help="sample count on each circle |z2| = r")
     _add_output_args(p)
 
     p = sub.add_parser("counterexample", help="divergence table for the built-in map")
+    p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--grid", metavar="A:B[:N]",
                    help="radius grid in (1/2,1); default 0.6:0.99 landmarks")
-    p.add_argument("--c-report", type=float, default=10.0, metavar="C",
+    p.add_argument("--c-report", type=float, default=DEFAULT_C_REPORT, metavar="C",
                    help="constant the divergence verdict is reported against")
     _add_output_args(p)
 
     p = sub.add_parser("eval", help="evaluate the map at explicit probes")
+    p.set_defaults(handler=_cmd_eval)
     _add_source_args(p)
     p.add_argument("--probe", dest="probes", action="append", default=[],
                    metavar="RE,IM[;RE,IM]", help="point to evaluate; repeatable")

@@ -154,11 +154,12 @@ class DivergenceScan:
 
 
 DEFAULT_R_GRID = (0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+DEFAULT_C_REPORT = 10.0
 
 
 def divergence_scan(
     r_grid: Sequence[float] | None = None,
-    c_report: float = 10.0,
+    c_report: float = DEFAULT_C_REPORT,
 ) -> DivergenceScan:
     """Tabulate opnorm, the certified lower bounds and the ratio over a
     strictly increasing grid in (1/2, 1); the verdict is affirmative when the

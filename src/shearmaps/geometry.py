@@ -92,16 +92,11 @@ class SamplerConfig:
         if not (0.0 < r < 1.0):
             raise ConfigError(f"radius must lie in (0, 1), got {r!r}")
         object.__setattr__(self, "radius", r)
-        for name in ("n_radial", "n_split", "n_phase"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, least in (("n_radial", 1), ("n_split", 1), ("n_phase", 1),
+                            ("n_random", 0), ("seed", 0)):
+            if int(getattr(self, name)) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
             object.__setattr__(self, name, int(getattr(self, name)))
-        if int(self.n_random) < 0:
-            raise ConfigError(f"n_random must be >= 0, got {self.n_random!r}")
-        object.__setattr__(self, "n_random", int(self.n_random))
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "probes", tuple(as_ball_point(p) for p in self.probes))
         # the split grid holds at most n_split + 1 values (see _split_grid)
         others = self.n_random + len(self.probes)
@@ -170,7 +165,10 @@ def eq1_residual(f: ShearingMap, alpha: float, point) -> float:
     if a == 1.0:
         return 1.0 - p.norm_sq
     c = f.g.eval(p.z2) - f.g.eval(a * p.z2) / a
-    m2 = abs(p.z1 + c) ** 2
+    try:
+        m2 = abs(p.z1 + c) ** 2
+    except OverflowError:  # ** raises past double range; x * x would round differently
+        m2 = math.inf
     if not math.isfinite(m2):
         raise OverflowRefusalError(
             "residual magnitude exceeds double range; the scan's log-domain "

@@ -42,6 +42,8 @@ from .shear import Jacobian2, ShearingMap, starlike_certificate
 # conformance violation (absorbs evaluation rounding only).
 CONFORMANCE_TOLERANCE = 1e-9
 
+DEFAULT_ANGULAR = 2048
+
 
 @dataclass(frozen=True)
 class GrowthRecord:
@@ -163,7 +165,7 @@ def _screen_slack(slopes: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
 def growth_conformance_scan(
     f: ShearingMap,
     r_values: Sequence[float],
-    n_angular: int = 2048,
+    n_angular: int = DEFAULT_ANGULAR,
     workers: int = 1,
 ) -> list[GrowthRecord]:
     """Sampled sup of ||df|| over |z2| <= r versus the ceiling, one record

@@ -392,8 +392,12 @@ def parse_series_spec(text: str, source: str = "<string>") -> CoefficientSeries:
 
 
 def load_series_spec(path) -> CoefficientSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_series_spec(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: series spec is not valid UTF-8: {exc}") from exc
+    return parse_series_spec(text, source=str(path))
 
 
 def dump_series_spec(series: CoefficientSeries) -> str:

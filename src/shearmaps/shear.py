@@ -34,6 +34,8 @@ from .series import (
 # Sharp constant 3*sqrt(3)/2 of the starlike coefficient criterion.
 STARLIKE_SUM_LIMIT = 3.0 * math.sqrt(3.0) / 2.0
 
+DEFAULT_N_MAX = 64
+
 KIND_STARLIKE = "Starlike"
 KIND_STARSHAPELIKE = "Starshapelike"
 KIND_EMBEDDABLE = "Embeddable"
@@ -155,7 +157,7 @@ def identity_shear(label: str = "identity") -> ShearingMap:
     return shear_from_series(CoefficientSeries(()), label=label)
 
 
-def embed_certificate(f: ShearingMap, n_max: int = 64) -> Certificate:
+def embed_certificate(f: ShearingMap, n_max: int = DEFAULT_N_MAX) -> Certificate:
     """The smallest N in 1..n_max with tail_sum(N) <= 1.  Past the largest
     stored index M, tail_sum(N) is the declared tail bound alone, so only
     N <= min(n_max, M) is searched.  tail_sum never increases with N (its
@@ -209,7 +211,9 @@ def starshapelike_certificate(f: ShearingMap) -> Certificate:
     return Certificate(KIND_STARSHAPELIKE, STATUS_NOT_CERTIFIED, margin=math.inf)
 
 
-def all_certificates(f: ShearingMap, n_max: int = 64) -> tuple[Certificate, Certificate, Certificate]:
+def all_certificates(
+    f: ShearingMap, n_max: int = DEFAULT_N_MAX
+) -> tuple[Certificate, Certificate, Certificate]:
     return (
         starlike_certificate(f),
         starshapelike_certificate(f),

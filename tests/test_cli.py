@@ -314,6 +314,11 @@ _HUGE = str(10**30)
         (["counterexample", "--grid", f"0.6:0.9:{_HUGE}"], None),
         # the distance between the endpoints overflows
         (["growth-scan", "--grid=-1e308:1e308:3"], None),
+        # a coefficient that is not finite, refused by CoefficientSeries
+        (["certify"], '{"start": 2, "coeffs": [[Infinity, 0]]}'),
+        (["certify"], '{"start": 2, "coeffs": [[NaN, 0]]}'),
+        # a file that is not UTF-8
+        (["certify"], b'\xff{"start": 2, "coeffs": []}'),
     ],
     ids=["negative-seed", "overflowing-probe", "huge-int-coefficient",
          "huge-int-tail-bound", "int-past-digit-limit", "deep-nesting",
@@ -324,7 +329,8 @@ _HUGE = str(10**30)
          "tiny-alpha",
          "huge-radius-grid", "huge-angular", "huge-s-grid", "huge-t-grid",
          "huge-phase-grid", "huge-random", "huge-alpha-grid", "huge-counterexample-grid",
-         "overflowing-grid-span"],
+         "overflowing-grid-span", "infinite-coefficient", "nan-coefficient",
+         "not-utf8"],
 )
 def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     """Exit 1 means a finding; inputs that cannot be evaluated, and scans
@@ -332,7 +338,7 @@ def test_hostile_inputs_exit_2(argv, spec, geo_spec, tmp_path, capsys):
     path = geo_spec
     if spec is not None:
         path = tmp_path / "hostile.json"
-        path.write_text(spec)
+        path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
     source = [] if argv[0] == "counterexample" else ["--input", str(path)]
     code = main(argv[:1] + source + argv[1:])
     assert code == 2

@@ -1,12 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+import shearmaps.counterexample
 from shearmaps import (
     ConfigError,
     DivergenceRecord,
     DomainError,
+    OverflowRefusalError,
     ce_lower_bound,
     counterexample_disk_function,
     counterexample_map,
@@ -68,6 +71,28 @@ def test_normalization_of_builtin():
     assert g.deriv_raw(0.0j) == 0.0
     assert g.coefficients is None
     assert g.label == "counterexample"
+
+
+def test_deriv_refused_past_double_range():
+    """Near the boundary point 1 the closed form's log|g'| passes the
+    refusal threshold, so plain evaluation raises instead of overflowing."""
+    with pytest.raises(OverflowRefusalError):
+        counterexample_map().g.deriv(1 - 0.1 * cmath.exp(1j * math.pi / 6))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: unit_modulus_check(()), ConfigError),
+        (lambda: unit_modulus_check((1.0,)), DomainError),
+        (lambda: divergence_ratio(0.0), DomainError),
+        (lambda: radial_image_bound(1.0), DomainError),
+    ],
+    ids=["empty-grid", "radius-one", "ratio-at-zero", "image-at-one"],
+)
+def test_radial_functions_refuse_bad_radii(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_lower_bound_values_and_domain():
@@ -133,6 +158,18 @@ def test_divergence_scan_unreachable_constant():
     scan = divergence_scan((0.6, 0.9), c_report=1e9)
     assert not scan.affirmative
     assert "does not exceed" in scan.verdict
+
+
+def test_divergence_scan_not_monotone(monkeypatch):
+    """A ratio that decreases along the grid withholds the verdict.  The
+    stand-in norm 1e6/(1-r)^2 stays above the certified lower bound on the
+    default grid, while its ratio 1e6 (1-r) falls."""
+    monkeypatch.setattr(
+        shearmaps.counterexample, "shear_opnorm", lambda f, p: 1e6 / (1.0 - p[1]) ** 2
+    )
+    scan = divergence_scan()
+    assert not scan.affirmative
+    assert scan.verdict == "not affirmative: ratio is not monotone increasing over this grid"
 
 
 def test_divergence_scan_validation():

@@ -22,6 +22,7 @@ from shearmaps import (
     ConfigError,
     DiskFunction,
     DomainError,
+    OverflowRefusalError,
     SamplerConfig,
     ShearingMap,
     boundedness_scan,
@@ -239,6 +240,13 @@ def test_eq1_residual_alpha_domain():
             eq1_residual(f, alpha, p)
 
 
+def test_eq1_residual_overflow_is_a_typed_refusal():
+    # |z1 + c| is finite but its square is not; float ** raises OverflowError
+    f = shear_from_series(CoefficientSeries([1e300]))
+    with pytest.raises(OverflowRefusalError):
+        eq1_residual(f, 0.5, (0, 0.5))
+
+
 def test_default_alpha_grid():
     grid = default_alpha_grid()
     assert len(grid) == 10
@@ -347,6 +355,8 @@ def test_boundedness_scan_validation():
         boundedness_scan(g, 1.0)
     with pytest.raises(DomainError):
         boundedness_scan(g, 0.0)
+    with pytest.raises(ConfigError):
+        boundedness_scan(g, 0.5, n_angular=0)
 
 
 # ---------------------------------------------------------------------------

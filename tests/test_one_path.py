@@ -3,6 +3,7 @@ exports or calls, such as a second evaluator for a job another path does."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import shearmaps
 
@@ -39,3 +40,16 @@ def test_every_public_function_is_exported_or_used():
         and not any(ref == name and owner != (module, name) for ref, owner in references)
     )
     assert unused == []
+
+
+def test_every_export_is_bound_in_its_submodule():
+    """__all__ is derived from the package's imports: each name appears once,
+    none is a module, and each is the same object as in some submodule."""
+    exports = shearmaps.__all__
+    submodules = [m for m in vars(shearmaps).values() if isinstance(m, ModuleType)]
+    assert exports and submodules
+    assert len(set(exports)) == len(exports)
+    for name in exports:
+        value = getattr(shearmaps, name)
+        assert not isinstance(value, ModuleType), name
+        assert any(vars(m).get(name, None) is value for m in submodules), name

@@ -77,6 +77,14 @@ def test_truncated_and_tail_partition_coefficients():
         assert recombined == full
 
 
+def test_truncation_degrees_below_one_are_refused():
+    f = geometric_shear()
+    with pytest.raises(DomainError):
+        f.truncated(0)
+    with pytest.raises(DomainError):
+        f.tail_map(0)
+
+
 def test_truncation_composition_identity():
     """f = head o tail in the shear group: inverting the truncated map on
     f(z) leaves exactly the tail map's image."""
