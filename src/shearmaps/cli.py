@@ -27,12 +27,14 @@ import numpy as np
 from .counterexample import (
     BUILTIN_NAME,
     DEFAULT_C_REPORT,
+    DEFAULT_R_GRID,
     counterexample_map,
     divergence_scan,
 )
 from .errors import ConfigError, ShearmapsError
 from .geometry import (
     SamplerConfig,
+    default_alpha_grid,
     eq1_scan,
     starlike_quantity,
     starlike_scan,
@@ -156,7 +158,8 @@ def _cmd_certify(args: argparse.Namespace):
 
 
 def _cmd_scan(args: argparse.Namespace):
-    """starlike-scan and eq1-scan (over the alpha grid, default 0.1:1.0:10)."""
+    """starlike-scan and eq1-scan (over the alpha grid, by default
+    default_alpha_grid())."""
     shear = _load_map(args)
     kwargs = dict(sampler=_sampler(args), workers=args.workers, trace_path=args.trace)
     if args.subcommand == "eq1-scan":
@@ -324,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq1-scan", help="scan the subordination-chain residual")
     p.set_defaults(handler=_cmd_scan)
     _add_source_args(p)
-    p.add_argument("--grid", metavar="A:B[:N]", help="alpha grid (default 0.1:1.0:10)")
+    alphas = [float(a) for a in default_alpha_grid()]
+    p.add_argument("--grid", metavar="A:B[:N]",
+                   help=f"alpha grid (default {alphas[0]!r}:{alphas[-1]!r}:{len(alphas)})")
     _add_sampler_args(p)
     _add_output_args(p)
 
@@ -340,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="divergence table for the built-in map")
     p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--grid", metavar="A:B[:N]",
-                   help="radius grid in (1/2,1); default 0.6:0.99 landmarks")
+                   help="radius grid in (1/2,1); default the radii "
+                   + ", ".join(map(repr, DEFAULT_R_GRID)))
     p.add_argument("--c-report", type=float, default=DEFAULT_C_REPORT, metavar="C",
                    help="constant the divergence verdict is reported against")
     _add_output_args(p)

@@ -24,14 +24,30 @@ probe-free part of the plan depends only on the sampler's dimensions and
 seed and is cached, read-only.  The scans run on one thread; their
 `workers` argument is accepted for compatibility and has no effect.
 
-The kernels see each distinct z2 of the plan once (both copies of a random
-point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) for every
-alpha < 1 are evaluated as whole arrays, and only the arithmetic that
-involves z1 runs per sample.  Values whose log-magnitudes exceed a
-screening limit are not trusted in double precision.  The starlike scan
-excludes those samples (counted as `refused`), while the eq1 scan
-certifies the residual sign in log-magnitude arithmetic when one term
-dominates (reported as a -inf residual) and refuses otherwise.
+The kernels see each distinct z2 of the plan at most once (both copies of
+a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
+alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
+runs per sample.  For a map with coefficients a screen first decides which
+samples can reach the minimum (_majorant).  One table of the coefficient
+majorants sum_k w_k |a_k| t^k on fixed moduli t bounds |w| (w_k = k - 1)
+and |c| (w_k = 1 - a^(k-1)) on each circle |z2| = t, and the weight k
+bounds every rounding between those numbers and the values the kernels
+compute.  That gives each sample a lower bound on its computed value,
+while a realigned sample's value is at most its computed |z|^2 (eq1:
+1/a^2 - |z|^2).  Only samples whose lower bound is at most the least of
+those upper bounds are evaluated; every other one is set to +inf, which
+can be neither the minimum nor a tie, so the report is that of a scan
+that evaluates every sample, byte for byte.  eq1 first tests each alpha
+row as a whole.  Closed forms (no coefficients), a written trace and maps
+whose sum_k k|a_k| exceeds e^SCAN_LOG_LIMIT / 2 evaluate every sample.
+The screen reads g's coefficients, so eval_raw and deriv_raw must evaluate
+that series by Horner, as disk_function_from_series builds them.
+
+Values whose log-magnitudes exceed a screening limit are not trusted in
+double precision.  The starlike scan excludes those samples (counted as
+`refused`), while the eq1 scan certifies the residual sign in
+log-magnitude arithmetic when one term dominates (reported as a -inf
+residual) and refuses otherwise.
 
 Both scans then share one path (_report): the starlike scan is the
 one-row case of eq1's (alpha row x sample) layout.  It applies the
@@ -73,6 +89,15 @@ _LOG_DOMINANCE_MARGIN = 30.0
 
 # Extremal split |z2|^2 / s^2 for monomial shears; always kept in the t-grid.
 _EXTREMAL_SPLIT = 2.0 / 3.0
+
+# The screen's majorant table holds the moduli j / _NODES, j = 0.._NODES; a
+# power of two, so every node and every point's node index is exact.
+_NODES = 64
+
+# Relative room for the rounding of a sample's own arithmetic and of its
+# bound (_lower): 2^-44 is 512 units of roundoff, against fewer than 30
+# that the few operations of a sample take.
+_ROUND = 2.0**-44
 
 
 @dataclass(frozen=True)
@@ -262,6 +287,95 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
 
 
 # ---------------------------------------------------------------------------
+# screen: which samples can reach the minimum
+
+
+def _majorant(f: ShearingMap, pts: np.ndarray, weights, trace_path):
+    """(bound, node), or None when every sample is to be evaluated: for a
+    closed form (no coefficients), when a trace is written, when a point
+    lies within about 2^-48 of the unit circle, and when sum_k k|a_k|
+    exceeds e^SCAN_LOG_LIMIT / 2.  node holds each point's node index j,
+    the least with t_j = j / _NODES >= |z2| (1 + 2^-48), which covers the
+    rounding of |z2| and of a*z2.  Row i of bound holds, at each node, an
+    upper bound on |q_i| as the scans compute it at every point of that
+    node, for q_i = sum_k weights(k)[i] a_k z2^k: w = g - z2 g' (weights
+    k - 1) and c = g(z2) - g(a z2)/a (weights 1 - a^(k-1)), each formed from
+    eval_raw and deriv_raw.
+
+    With T_w(t) = sum_k w_k |a_k| t^k, u = 2^-53 and n stored coefficients,
+    each bound is T_w(t_j) + 64 u (n + 8) T_k(t_j) + 2^-998 T_k(1) + 2^-900.
+    The second term covers every rounding between the exact q and its
+    computed value, derived as growth._screen_slack derives its own, where
+    Horner is within 8 n u of the absolute-value majorant:
+      * Horner: g(z2) and z2 g'(z2) are each within 8 (n + 2) u T_k of the
+        exact values, and so is g(a z2)/a, as |a z2|^k / a <= t^k.
+      * Points and per-point arithmetic: fl(a z2) is within u a |z2| of
+        a z2, which moves g(a z2)/a by at most u T_k at the node.  The
+        product z2 g', the quotient by a, the subtraction, the rounded
+        weights (1 - a^(k-1) within 2u) and k a_k add at most 10 u T_k.
+      * The table: each power t^k is a chain of k - 1 products, and the
+        sum over k of its nonnegative terms is within (3n + 8) u of T_w.
+    The total, below (19 n + 60) u T_k, leaves a factor 3 to spare.
+    Powers below 2^-1000 are flushed to 0 before they reach the subnormal
+    range; the terms they drop sum to at most 2^-998 T_k(1).  Any other
+    operation in the subnormal range errs by at most 2^-1074, and fewer than
+    2^100 reach one point, so 2^-900 covers them.  The sum_k k|a_k| limit
+    keeps every Horner intermediate (at most sum_k |a_k| or sum_k k|a_k| on
+    the closed disk) and every value finite, which the bounds above
+    assume, and gives log|g| <= SCAN_LOG_LIMIT at every point, so no sample
+    is refused.  eval_raw and deriv_raw must evaluate `coefficients` by
+    Horner, as disk_function_from_series builds them."""
+    series = f.g.coefficients
+    if series is None or trace_path is not None:
+        return None
+    node = np.ceil(np.abs(pts) * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
+    if node.max() > _NODES:
+        return None
+    a = np.abs(np.asarray(series.coeffs, dtype=complex))
+    k = np.arange(2.0, a.size + 2.0)
+    terms = np.vstack([weights(k), k]) * a
+    t = np.arange(_NODES + 1) / _NODES
+    table = np.zeros((terms.shape[0], t.size))
+    power = t  # t^(start + 1)
+    # _NODES powers per block: memory stays at _NODES^2 numbers for any
+    # degree, and einsum keeps the sums off BLAS
+    for start in range(0, a.size, _NODES):
+        steps = np.broadcast_to(t, (min(_NODES, a.size - start), t.size))
+        block = power * np.cumprod(steps, axis=0)  # t^(start + 2) on
+        power = block[-1]
+        block[block < 2.0**-1000] = 0.0
+        table += np.einsum("rk,kn->rn", terms[:, start:start + _NODES], block)
+    if not table[-1, -1] <= math.exp(SCAN_LOG_LIMIT) / 2.0:
+        return None
+    slack = (64.0 * 2.0**-53 * (a.size + 8)) * table[-1] + (2.0**-998 * table[-1, -1] + 2.0**-900)
+    return table[:-1] + slack, node
+
+
+def _lower(x, y):
+    """A lower bound on a sample's computed value when, in exact
+    arithmetic, it is at least x - y for x, y >= 0 that bound its terms:
+    _ROUND covers the relative rounding of the few operations a sample
+    takes (and of this bound), 2^-1000 their errors in the subnormal range."""
+    return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
+
+
+def _at(kernel, samples: _Samples, keep):
+    """kernel at the points that the samples in keep (a mask over the
+    samples, or one such row per alpha) read, and 0 at the others; no call
+    when there are none, and kernel(points) when keep is None.  The kernels
+    are elementwise, so each value is the one a call on every point gives."""
+    pts, src = samples.points, samples.src
+    if keep is None:
+        return kernel(pts)
+    need = np.zeros(pts.size, dtype=bool)
+    need[np.broadcast_to(src, keep.shape)[keep]] = True
+    out = np.zeros(pts.size, dtype=complex)
+    if need.any():
+        out[need] = kernel(pts[need])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # witness, trace and report, shared by both scans
 
 
@@ -361,6 +475,21 @@ def _report(
 # starlike scan
 
 
+def _starlike_keep(f, samples: _Samples, norm_sq, trace_path):
+    """The samples whose computed value can reach the minimum, or None
+    for every sample (see _majorant).  A value is at least
+    |z|^2 - |z1| |w| and, for a realigned z1, at most the computed |z|^2,
+    since rounding is monotone; so each sample whose lower bound exceeds
+    the least |z|^2, which some realigned sample attains, lies above the
+    minimum."""
+    m = _majorant(f, samples.points, lambda k: (k - 1.0)[None], trace_path)
+    if m is None:
+        return None
+    bound, node = m
+    lower = _lower(norm_sq, samples.r1 * bound[0, node][samples.src])
+    return ~(lower > norm_sq.min())
+
+
 def starlike_scan(
     f: ShearingMap,
     sampler: SamplerConfig | None = None,
@@ -374,16 +503,19 @@ def starlike_scan(
     samples = _build_samples(cfg)
     pts, src, r1, phi1, given = samples
     with np.errstate(all="ignore"):
-        g = f.g.eval_raw(pts)
-        w = g - pts * f.g.deriv_raw(pts)
+        norm_sq = r1**2 + np.abs(pts[src]) ** 2
+        keep = _starlike_keep(f, samples, norm_sq, trace_path)
+        g = _at(f.g.eval_raw, samples, keep)
+        w = g - pts * _at(f.g.deriv_raw, samples, keep)
         ok = f.g.log_abs_of(pts, g) <= SCAN_LOG_LIMIT
         if f.g.deriv_log_abs_raw is not None:
             ok &= np.asarray(f.g.deriv_log_abs_raw(pts), dtype=float) <= SCAN_LOG_LIMIT
-        norm_sq = r1**2 + np.abs(pts[src]) ** 2
         values = norm_sq - np.abs(w)[src] * r1
         z1_given = r1[given] * np.exp(1j * phi1[given])
         values[given] = norm_sq[given] + (w[src[given]] * np.conj(z1_given)).real
     values[~(ok[src] & np.isfinite(values))] = np.nan
+    if keep is not None:
+        values[~keep] = math.inf
     # the minimizing z1 on the sphere points against w
     return _report(f, cfg, samples, values[None], w[None], -1, ok[None],
                    np.zeros((1, pts.size), dtype=bool), None, trace_path)
@@ -395,6 +527,34 @@ def starlike_scan(
 
 def default_alpha_grid() -> tuple[float, ...]:
     return tuple(np.linspace(0.1, 1.0, 10))
+
+
+def _eq1_keep(f, avals, samples: _Samples, a2sq, trace_path):
+    """Per alpha row, the samples whose computed residual can reach the
+    minimum, or None for every sample (see _majorant); rows at alpha = 1
+    need no g and keep none.  With q = |z1|^2 + |z2|^2 as computed, a
+    residual is at least 1/a^2 - ((|z1| + |c|)^2 + |z2|^2) and, for a
+    realigned z1, at most the computed 1/a^2 - q, since rounding is
+    monotone; the least of these over the alphas, at the largest q, is
+    attained by a realigned sample.  A row is first tested as a whole,
+    with |z| and |c| at their largest; only a row that fails that test is
+    bounded sample by sample."""
+    m = _majorant(f, samples.points, lambda k: 1.0 - np.asarray(avals)[:, None] ** (k - 1.0),
+                  trace_path)
+    if m is None:
+        return None
+    bound, node = m
+    src, r1 = samples.src, samples.r1
+    q = r1 * r1 + a2sq
+    top = max(avals)
+    least = 1.0 / (top * top) - q.max()
+    reach = math.sqrt(q.max()) * (1.0 + _ROUND) + bound[:, node.max()]
+    keep = np.zeros((len(avals), src.size), dtype=bool)
+    for i, a in enumerate(avals):
+        inv = 1.0 / (a * a)
+        if a < 1.0 and not _lower(inv, reach[i] ** 2) > least:
+            keep[i] = ~(_lower(inv, (r1 + bound[i, node][src]) ** 2 + a2sq) > least)
+    return keep
 
 
 def eq1_scan(
@@ -432,14 +592,19 @@ def eq1_scan(
     certified = np.zeros_like(ok)
     c = np.zeros(ok.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        g2 = f.g.eval_raw(pts)
+        keep = _eq1_keep(f, avals, samples, a2sq, trace_path)
+        g2 = _at(f.g.eval_raw, samples, keep)
         la2 = f.g.log_abs_of(pts, g2)
         z1_given = r1[given] * np.exp(1j * phi1[given])
         for i, a in enumerate(avals):
+            row = None if keep is None else keep[i]
             if a == 1.0:
                 values[i] = 1.0 - (r1 * r1 + a2sq)
                 continue
-            ga = f.g.eval_raw(a * pts)
+            if row is not None and not row.any():
+                values[i] = math.inf
+                continue
+            ga = _at(lambda z: f.g.eval_raw(a * z), samples, row)
             laa = f.g.log_abs_of(a * pts, ga) - math.log(a)
             ok[i] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
             # one term out of double range: certify the sign when it
@@ -453,5 +618,7 @@ def eq1_scan(
             values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
             values[i][~ok[i][src]] = np.nan
             values[i][certified[i][src]] = -math.inf
+            if row is not None:
+                values[i][~row] = math.inf
     # the minimizing z1 on the sphere points along c
     return _report(f, cfg, samples, values, c, 1, ok, certified, avals, trace_path)

@@ -379,12 +379,9 @@ def parse_series_spec(text: str, source: str = "<string>") -> CoefficientSeries:
         if not isinstance(tb, (int, float)) or isinstance(tb, bool):
             raise ConfigError(f"{source}: `tail_bound` must be a number, got {tb!r}")
         try:
-            value = float(tb)
+            tb = float(tb)
         except OverflowError as exc:
             raise ConfigError(f"{source}: `tail_bound`: {exc}") from exc
-        if value < 0.0 or math.isnan(value):
-            raise ConfigError(f"{source}: `tail_bound` must be >= 0, got {tb!r}")
-        tb = value
     try:
         return CoefficientSeries(tuple(coeffs), tb)
     except (DomainError, ValueError) as exc:

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import geometric_series
 from shearmaps import (
+    DEFAULT_R_GRID,
     ConfigError,
     SamplerConfig,
+    default_alpha_grid,
     dump_series_spec,
     eq1_scan,
     load_series_spec,
@@ -503,6 +505,19 @@ def test_help_exits_zero(capsys):
         assert main([sub, "--help"]) == 0
         shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
         assert shown - {"--help"} == options, sub
+
+
+def test_help_shows_the_default_grids(capsys):
+    """The --grid defaults that the help states are the ones the code uses:
+    default_alpha_grid() for eq1-scan, DEFAULT_R_GRID for counterexample."""
+    assert main(["eq1-scan", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    shown = re.search(r"alpha grid \(default (\S+)\)", text).group(1)
+    assert parse_grid(shown) == default_alpha_grid()
+    assert main(["counterexample", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    shown = re.search(r"default the radii ([0-9., ]+[0-9])", text).group(1)
+    assert tuple(float(r) for r in shown.split(", ")) == DEFAULT_R_GRID
 
 
 @pytest.mark.parametrize("sub", ["starlike-scan", "eq1-scan"])

@@ -111,6 +111,18 @@ def test_series_validation():
         CoefficientSeries((1.0,), tail_bound=math.nan)
 
 
+def test_negative_tail_bound_message():
+    """CoefficientSeries alone states the tail_bound rule; the spec parser
+    reports the same message as a ConfigError prefixed with its source."""
+    for tb in (-1.0, math.nan):
+        with pytest.raises(DomainError) as exc:
+            CoefficientSeries((1.0,), tail_bound=tb)
+        assert str(exc.value) == f"tail_bound must be >= 0, got {tb!r}"
+    with pytest.raises(ConfigError) as exc:
+        parse_series_spec('{"start": 2, "coeffs": [], "tail_bound": -1}', source="neg.json")
+    assert str(exc.value) == "neg.json: tail_bound must be >= 0, got -1.0"
+
+
 def test_coefficient_access():
     geo = geometric_series()
     assert geo.start == 2
