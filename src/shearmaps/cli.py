@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq1-scan", help="scan the subordination-chain residual")
     p.set_defaults(handler=_cmd_scan)
     _add_source_args(p)
-    alphas = [float(a) for a in default_alpha_grid()]
+    alphas = default_alpha_grid()
     p.add_argument("--grid", metavar="A:B[:N]",
                    help=f"alpha grid (default {alphas[0]!r}:{alphas[-1]!r}:{len(alphas)})")
     _add_sampler_args(p)

@@ -27,21 +27,23 @@ seed and is cached, read-only.  The scans run on one thread; their
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
 alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
-runs per sample.  For a map with coefficients a screen first decides which
-samples can reach the minimum (_majorant).  One table of the coefficient
+runs per sample.  For a map with coefficients a screen (_majorant) first
+picks the samples that can reach the minimum, and the scan evaluates that
+sub-plan (_subplan) on its one path.  One table of the coefficient
 majorants sum_k w_k |a_k| t^k on fixed moduli t bounds |w| (w_k = k - 1)
 and |c| (w_k = 1 - a^(k-1)) on each circle |z2| = t, and the weight k
 bounds every rounding between those numbers and the values the kernels
 compute.  That gives each sample a lower bound on its computed value,
 while a realigned sample's value is at most its computed |z|^2 (eq1:
-1/a^2 - |z|^2).  Only samples whose lower bound is at most the least of
-those upper bounds are evaluated; every other one is set to +inf, which
-can be neither the minimum nor a tie, so the report is that of a scan
-that evaluates every sample, byte for byte.  eq1 first tests each alpha
-row as a whole.  Closed forms (no coefficients), a written trace and maps
-whose sum_k k|a_k| exceeds e^SCAN_LOG_LIMIT / 2 evaluate every sample.
-The screen reads g's coefficients, so eval_raw and deriv_raw must evaluate
-that series by Horner, as disk_function_from_series builds them.
+1/a^2 - |z|^2).  The sub-plan keeps, in plan order, the samples whose
+lower bound is at most the least of those upper bounds, so every possible
+minimum and tie, and the report is that of the full plan, byte for byte.
+eq1 tests each alpha row as a whole first and keeps the union of the rows'
+samples; a row that keeps none is +inf and calls no kernel.  Closed forms
+(no coefficients), a written trace and maps whose sum_k k|a_k| exceeds
+e^SCAN_LOG_LIMIT / 2 evaluate the full plan.  The screen reads g's
+coefficients, so eval_raw and deriv_raw must evaluate them by Horner, as
+disk_function_from_series builds them.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
@@ -213,10 +215,10 @@ def boundedness_scan(
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
     if n_angular < 1:
         raise ConfigError(f"n_angular must be >= 1, got {n_angular}")
-    phi = np.concatenate(
-        [np.arange(n_angular) * (2.0 * math.pi / n_angular),
-         np.asarray(list(angles), dtype=float)]
-    )
+    probes = np.asarray(list(angles), dtype=float)
+    if not np.isfinite(probes).all():
+        raise DomainError(f"probe angles must be finite, got {probes.tolist()!r}")
+    phi = np.concatenate([np.arange(n_angular) * (2.0 * math.pi / n_angular), probes])
     zeta = r * np.exp(1j * phi)
     with np.errstate(all="ignore"):
         return float(np.max(g.log_abs_of(zeta, g.eval_raw(zeta))))
@@ -236,18 +238,16 @@ class _Samples(NamedTuple):
     src: np.ndarray     # each sample's index into points
     r1: np.ndarray      # |z1|
     phi1: np.ndarray    # phase of z1; NaN means adversarially aligned
-    given: np.ndarray   # indices of the samples with a given phase
 
 
 def _add_twice(base: _Samples, z2, z1_abs, z1_phase) -> _Samples:
     """base plus the points z2, each sampled twice: with z1 as given
     (modulus z1_abs, phase z1_phase) and with z1 realigned."""
     idx = np.arange(base.points.size, base.points.size + z2.size)
-    phi1 = np.concatenate([base.phi1, z1_phase, np.full(z2.size, np.nan)])
     return _Samples(
         points=np.concatenate([base.points, z2]), src=np.concatenate([base.src, idx, idx]),
-        r1=np.concatenate([base.r1, z1_abs, z1_abs]), phi1=phi1,
-        given=np.flatnonzero(~np.isnan(phi1)),
+        r1=np.concatenate([base.r1, z1_abs, z1_abs]),
+        phi1=np.concatenate([base.phi1, z1_phase, np.full(z2.size, np.nan)]),
     )
 
 
@@ -263,7 +263,7 @@ def _plan(radius, n_radial, n_split, n_phase, n_random, seed) -> _Samples:
     s, t, phi2 = (a.ravel() for a in np.meshgrid(s_grid, t_grid, p_grid, indexing="ij"))
     plan = _Samples(
         points=s * np.sqrt(t) * np.exp(1j * phi2), src=np.arange(s.size),
-        r1=s * np.sqrt(1.0 - t), phi1=np.full(s.size, np.nan), given=np.arange(0),
+        r1=s * np.sqrt(1.0 - t), phi1=np.full(s.size, np.nan),
     )
     if n_random:
         rng = np.random.default_rng(seed)
@@ -359,20 +359,14 @@ def _lower(x, y):
     return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
 
 
-def _at(kernel, samples: _Samples, keep):
-    """kernel at the points that the samples in keep (a mask over the
-    samples, or one such row per alpha) read, and 0 at the others; no call
-    when there are none, and kernel(points) when keep is None.  The kernels
-    are elementwise, so each value is the one a call on every point gives."""
-    pts, src = samples.points, samples.src
-    if keep is None:
-        return kernel(pts)
-    need = np.zeros(pts.size, dtype=bool)
-    need[np.broadcast_to(src, keep.shape)[keep]] = True
-    out = np.zeros(pts.size, dtype=complex)
-    if need.any():
-        out[need] = kernel(pts[need])
-    return out
+def _subplan(plan: _Samples, keep) -> _Samples:
+    """The samples in keep (a mask over plan's samples) in plan order, with
+    each distinct point they read once, also in plan order."""
+    need = np.zeros(plan.points.size, dtype=bool)
+    need[plan.src[keep]] = True
+    remap = np.cumsum(need) - 1
+    return _Samples(points=plan.points[need], src=remap[plan.src[keep]],
+                    r1=plan.r1[keep], phi1=plan.phi1[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +379,14 @@ def _report(
     alphas: tuple[float, ...] | None, trace_path,
 ) -> ScanReport:
     """Witness, trace and report of a scan with one row of sample values
-    per alpha (the starlike scan: one row, alphas None).  c, ok and
-    certified hold per row and distinct z2 the number a realigned z1
-    follows, the screen, and the log-magnitude sign certificate.  A
-    realigned z1 is sign |z1| c/|c|, or |z1| where c = 0 or the sample is
-    certified.  Ties for the minimum go to the lexicographically least key
+    per alpha (the starlike scan: one row, alphas None) over cfg's plan or
+    a sub-plan.  c, ok and certified hold per row and distinct z2 the
+    number a realigned z1 follows, the screen, and the log-magnitude sign
+    certificate.  A realigned z1 is sign |z1| c/|c|, or |z1| where c = 0 or
+    the sample is certified.  Ties for the minimum go to the least key
     (z1, z2, alpha), then to the lowest index; NaN (refused) never wins.  A
     finite minimum is re-evaluated exactly at its witness."""
-    pts, src, r1, phi1, _ = samples
+    pts, src, r1, phi1 = samples
     n, eq1 = src.size, alphas is not None
     kind = "eq1-scan" if eq1 else "starlike-scan"
     flat = values.ravel()
@@ -410,11 +404,12 @@ def _report(
             z1 = np.where(np.isnan(phi1[j]), z1, r * np.exp(1j * phi1[j]))
         return np.where(okp | certified[i, p], z1, complex(np.nan, np.nan))
 
-    # a sample depends on g when z2 != 0 (eq1: and alpha < 1)
+    # a sample depends on g when z2 != 0 (eq1: and alpha < 1); every plan
+    # has one, so only refusals leave none (a screen refuses nothing)
     depends_on_g = (pts != 0.0)[src]
     if eq1:
         depends_on_g = depends_on_g & (np.asarray(alphas)[:, None] < 1.0)
-    if not (~np.isnan(values) & depends_on_g).any():
+    if refused and not (~np.isnan(values) & depends_on_g).any():
         raise ConfigError("every sample whose value depends on g was refused; nothing to report")
     cand = np.flatnonzero(flat == np.fmin.reduce(flat))
     z1, z2 = z1_of(cand), pts[src[cand % n]]
@@ -446,7 +441,7 @@ def _report(
         kind=kind,
         extremum=extremum,
         witness=witness,
-        samples=n,
+        samples=cfg.sample_count,
         refused=refused,
         violation=extremum < VIOLATION_THRESHOLD,
         threshold=VIOLATION_THRESHOLD,
@@ -475,19 +470,20 @@ def _report(
 # starlike scan
 
 
-def _starlike_keep(f, samples: _Samples, norm_sq, trace_path):
-    """The samples whose computed value can reach the minimum, or None
-    for every sample (see _majorant).  A value is at least
+def _starlike_screen(f, plan: _Samples, trace_path) -> _Samples:
+    """The sub-plan of the samples whose computed value can reach the
+    minimum, or plan itself (see _majorant).  A value is at least
     |z|^2 - |z1| |w| and, for a realigned z1, at most the computed |z|^2,
     since rounding is monotone; so each sample whose lower bound exceeds
     the least |z|^2, which some realigned sample attains, lies above the
     minimum."""
-    m = _majorant(f, samples.points, lambda k: (k - 1.0)[None], trace_path)
+    m = _majorant(f, plan.points, lambda k: (k - 1.0)[None], trace_path)
     if m is None:
-        return None
+        return plan
     bound, node = m
-    lower = _lower(norm_sq, samples.r1 * bound[0, node][samples.src])
-    return ~(lower > norm_sq.min())
+    norm_sq = plan.r1**2 + np.abs(plan.points[plan.src]) ** 2
+    lower = _lower(norm_sq, plan.r1 * bound[0, node][plan.src])
+    return _subplan(plan, ~(lower > norm_sq.min()))
 
 
 def starlike_scan(
@@ -500,13 +496,13 @@ def starlike_scan(
     a minimum below the -1e-12 threshold; a starlike map never produces one.
     workers is accepted for compatibility and has no effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
-    samples = _build_samples(cfg)
-    pts, src, r1, phi1, given = samples
     with np.errstate(all="ignore"):
+        samples = _starlike_screen(f, _build_samples(cfg), trace_path)
+        pts, src, r1, phi1 = samples
+        given = ~np.isnan(phi1)
         norm_sq = r1**2 + np.abs(pts[src]) ** 2
-        keep = _starlike_keep(f, samples, norm_sq, trace_path)
-        g = _at(f.g.eval_raw, samples, keep)
-        w = g - pts * _at(f.g.deriv_raw, samples, keep)
+        g = f.g.eval_raw(pts)
+        w = g - pts * f.g.deriv_raw(pts)
         ok = f.g.log_abs_of(pts, g) <= SCAN_LOG_LIMIT
         if f.g.deriv_log_abs_raw is not None:
             ok &= np.asarray(f.g.deriv_log_abs_raw(pts), dtype=float) <= SCAN_LOG_LIMIT
@@ -514,8 +510,6 @@ def starlike_scan(
         z1_given = r1[given] * np.exp(1j * phi1[given])
         values[given] = norm_sq[given] + (w[src[given]] * np.conj(z1_given)).real
     values[~(ok[src] & np.isfinite(values))] = np.nan
-    if keep is not None:
-        values[~keep] = math.inf
     # the minimizing z1 on the sphere points against w
     return _report(f, cfg, samples, values[None], w[None], -1, ok[None],
                    np.zeros((1, pts.size), dtype=bool), None, trace_path)
@@ -526,35 +520,42 @@ def starlike_scan(
 
 
 def default_alpha_grid() -> tuple[float, ...]:
-    return tuple(np.linspace(0.1, 1.0, 10))
+    return tuple(np.linspace(0.1, 1.0, 10).tolist())
 
 
-def _eq1_keep(f, avals, samples: _Samples, a2sq, trace_path):
-    """Per alpha row, the samples whose computed residual can reach the
-    minimum, or None for every sample (see _majorant); rows at alpha = 1
-    need no g and keep none.  With q = |z1|^2 + |z2|^2 as computed, a
-    residual is at least 1/a^2 - ((|z1| + |c|)^2 + |z2|^2) and, for a
-    realigned z1, at most the computed 1/a^2 - q, since rounding is
-    monotone; the least of these over the alphas, at the largest q, is
-    attained by a realigned sample.  A row is first tested as a whole,
-    with |z| and |c| at their largest; only a row that fails that test is
-    bounded sample by sample."""
-    m = _majorant(f, samples.points, lambda k: 1.0 - np.asarray(avals)[:, None] ** (k - 1.0),
+def _eq1_screen(f, avals, plan: _Samples, trace_path):
+    """(samples, live): the sub-plan of the samples whose computed residual
+    can reach the minimum in some alpha row, and per alpha whether its row
+    keeps any; or plan itself with every row alpha < 1 live (see _majorant).
+    With q = |z1|^2 + |z2|^2 as computed, a residual is at least
+    1/a^2 - ((|z1| + |c|)^2 + |z2|^2) and, for a realigned z1, at most the
+    computed 1/a^2 - q, since rounding is monotone; the least of these over
+    the alphas, at the largest q, is attained by a realigned sample.  A row
+    alpha < 1 is first tested as a whole, with |z| and |c| at their largest;
+    only a row that fails that test is bounded sample by sample.  The row
+    alpha = 1 holds the computed 1 - q itself."""
+    m = _majorant(f, plan.points, lambda k: 1.0 - np.asarray(avals)[:, None] ** (k - 1.0),
                   trace_path)
     if m is None:
-        return None
+        return plan, [a < 1.0 for a in avals]
     bound, node = m
-    src, r1 = samples.src, samples.r1
+    src, r1 = plan.src, plan.r1
+    a2sq = np.abs(plan.points[src]) ** 2
     q = r1 * r1 + a2sq
     top = max(avals)
     least = 1.0 / (top * top) - q.max()
     reach = math.sqrt(q.max()) * (1.0 + _ROUND) + bound[:, node.max()]
-    keep = np.zeros((len(avals), src.size), dtype=bool)
+    keep = np.zeros(src.size, dtype=bool)
+    live = [False] * len(avals)
     for i, a in enumerate(avals):
         inv = 1.0 / (a * a)
-        if a < 1.0 and not _lower(inv, reach[i] ** 2) > least:
-            keep[i] = ~(_lower(inv, (r1 + bound[i, node][src]) ** 2 + a2sq) > least)
-    return keep
+        if a == 1.0:
+            keep |= ~(1.0 - q > least)
+        elif not _lower(inv, reach[i] ** 2) > least:
+            row = ~(_lower(inv, (r1 + bound[i, node][src]) ** 2 + a2sq) > least)
+            keep |= row
+            live[i] = bool(row.any())
+    return _subplan(plan, keep), live
 
 
 def eq1_scan(
@@ -582,29 +583,27 @@ def eq1_scan(
         )
     require_point_count(len(avals) * cfg.sample_count,
                         f"{len(avals)} alphas x {cfg.sample_count} samples")
-    samples = _build_samples(cfg)
-    pts, src, r1, phi1, given = samples
-    n = src.size
-    a2sq = np.abs(pts[src]) ** 2
-    values = np.empty((len(avals), n))
-    # per alpha and point; c = g(z2) - g(a z2)/a is 0 at alpha = 1
-    ok = np.ones((len(avals), pts.size), dtype=bool)
-    certified = np.zeros_like(ok)
-    c = np.zeros(ok.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        keep = _eq1_keep(f, avals, samples, a2sq, trace_path)
-        g2 = _at(f.g.eval_raw, samples, keep)
-        la2 = f.g.log_abs_of(pts, g2)
+        samples, live = _eq1_screen(f, avals, _build_samples(cfg), trace_path)
+        pts, src, r1, phi1 = samples
+        given = ~np.isnan(phi1)
+        a2sq = np.abs(pts[src]) ** 2
+        # a row alpha < 1 that is not live lies above the minimum
+        values = np.full((len(avals), src.size), math.inf)
+        # per alpha and point; c = g(z2) - g(a z2)/a is 0 at alpha = 1
+        ok = np.ones((len(avals), pts.size), dtype=bool)
+        certified = np.zeros_like(ok)
+        c = np.zeros(ok.shape, dtype=complex)
+        if any(live):
+            g2 = f.g.eval_raw(pts)
+            la2 = f.g.log_abs_of(pts, g2)
         z1_given = r1[given] * np.exp(1j * phi1[given])
         for i, a in enumerate(avals):
-            row = None if keep is None else keep[i]
             if a == 1.0:
                 values[i] = 1.0 - (r1 * r1 + a2sq)
+            if not live[i]:
                 continue
-            if row is not None and not row.any():
-                values[i] = math.inf
-                continue
-            ga = _at(lambda z: f.g.eval_raw(a * z), samples, row)
+            ga = f.g.eval_raw(a * pts)
             laa = f.g.log_abs_of(a * pts, ga) - math.log(a)
             ok[i] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
             # one term out of double range: certify the sign when it
@@ -618,7 +617,5 @@ def eq1_scan(
             values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
             values[i][~ok[i][src]] = np.nan
             values[i][certified[i][src]] = -math.inf
-            if row is not None:
-                values[i][~row] = math.inf
     # the minimizing z1 on the sphere points along c
     return _report(f, cfg, samples, values, c, 1, ok, certified, avals, trace_path)

@@ -279,7 +279,7 @@ class DiskFunction:
     def __post_init__(self):
         g0 = complex(self.eval_raw(0.0j))
         dg0 = complex(self.deriv_raw(0.0j))
-        if abs(g0) > 1e-12 or abs(dg0) > 1e-12:
+        if not (abs(g0) <= 1e-12 and abs(dg0) <= 1e-12):  # NaN fails too
             raise NormalizationError(
                 f"disk function must satisfy g(0) = g'(0) = 0, "
                 f"got g(0) = {g0!r}, g'(0) = {dg0!r}"

@@ -35,7 +35,7 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import _build_samples
+from shearmaps.geometry import _build_samples, _subplan
 from shearmaps.series import _BLOCK, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
@@ -250,6 +250,7 @@ def test_eq1_residual_overflow_is_a_typed_refusal():
 def test_default_alpha_grid():
     grid = default_alpha_grid()
     assert len(grid) == 10
+    assert all(type(a) is float for a in grid)
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == 1.0
 
@@ -357,6 +358,9 @@ def test_boundedness_scan_validation():
         boundedness_scan(g, 0.0)
     with pytest.raises(ConfigError):
         boundedness_scan(g, 0.5, n_angular=0)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            boundedness_scan(g, 0.5, angles=(0.0, angle))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +529,22 @@ def test_cached_plan_keeps_probe_signed_zeros(tmp_path):
     assert not any(a.flags.writeable for a in plan)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_subplan_keeps_samples_in_plan_order(seed):
+    """A sub-plan holds the kept samples in plan order, with each plan
+    point they read once, also in plan order, and the samples' z2, |z1|
+    and phase of z1 (NaN for a realigned sample) bit for bit."""
+    plan = _build_samples(_PROBED)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(plan.src.size) < (0.0, 1.0, 0.01, 0.1, 0.5, 0.9)[seed]
+    sub = _subplan(plan, keep)
+    read = np.unique(plan.src[keep])
+    assert sub.points.tobytes() == plan.points[read].tobytes()
+    assert sub.points[sub.src].tobytes() == plan.points[plan.src][keep].tobytes()
+    assert sub.r1.tobytes() == plan.r1[keep].tobytes()
+    assert sub.phi1.tobytes() == plan.phi1[keep].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the screen against full evaluation
 
@@ -556,6 +576,8 @@ def _outcome(scan, f, cfg, **kwargs):
 @example(coeffs=[0j, 1.55], alphas=None, radius=0.999, probes=_EDGE_PROBES, n_random=40)
 @example(coeffs=[2.6], alphas=(0.5, 1.0), radius=0.999, probes=_EDGE_PROBES, n_random=40)
 @example(coeffs=[1e308 * (1 + 1j)], alphas=None, radius=0.9, probes=_EDGE_PROBES, n_random=10)
+# the eq1 screen keeps 3 of 132 samples, read by the live rows 0.8 and 0.9
+@example(coeffs=[2.7], alphas=None, radius=0.999, probes=_EDGE_PROBES, n_random=40)
 def test_screened_scans_match_full_evaluation(coeffs, alphas, radius, probes, n_random):
     """Both scans of a series map, which the coefficient majorant screens,
     report byte for byte what the same polynomial reports when wrapped as a

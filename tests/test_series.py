@@ -200,6 +200,11 @@ def test_normalization_guard():
     # g'(0) != 0
     with pytest.raises(NormalizationError):
         DiskFunction(lambda z: 0.5 * z, lambda z: 0.5 + 0.0 * z, lambda z: 0.0 * abs(z))
+    # g(0) = NaN and g'(0) = NaN compare false against any tolerance
+    with pytest.raises(NormalizationError):
+        DiskFunction(lambda z: np.nan * z, lambda z: 0.0 * z)
+    with pytest.raises(NormalizationError):
+        DiskFunction(lambda z: 0.0 * z, lambda z: np.nan * z)
 
 
 def test_overflow_refusal():
