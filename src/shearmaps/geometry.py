@@ -27,29 +27,29 @@ seed and is cached, read-only.  The scans run on one thread; their
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
 alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
-runs per sample.  For a map with coefficients a screen (_majorant) first
-picks the samples that can reach the minimum, and the scan evaluates that
-sub-plan (_subplan) on its one path.  One table of the coefficient
-majorants sum_k w_k |a_k| t^k on fixed moduli t bounds |w| (w_k = k - 1)
-and |c| (w_k = 1 - a^(k-1)) on each circle |z2| = t, and the weight k
-bounds every rounding between those numbers and the values the kernels
-compute.  That gives each sample a lower bound on its computed value,
-while a realigned sample's value is at most its computed |z|^2 (eq1:
-1/a^2 - |z|^2).  The sub-plan keeps, in plan order, the samples whose
-lower bound is at most the least of those upper bounds, so every possible
-minimum and tie, and the report is that of the full plan, byte for byte.
-eq1 tests each alpha row as a whole first and keeps the union of the rows'
-samples; a row that keeps none is +inf and calls no kernel.  Closed forms
-(no coefficients), a written trace and maps whose sum_k k|a_k| exceeds
-e^SCAN_LOG_LIMIT / 2 evaluate the full plan.  The screen reads g's
-coefficients, so eval_raw and deriv_raw must evaluate them by Horner, as
-disk_function_from_series builds them.
+runs per sample.  A screen first picks the samples that can reach the
+minimum, and the scan evaluates that sub-plan (_subplan) on its one path.
+The screen bounds the number the scan computes at each point, w or c per
+alpha, by L <= |q| <= U, drawn from g's coefficients (_majorant, L = 0) or
+from a closed form's log kernels (_log_bounds), which also refuse or
+certify samples as the scan does.  That gives each sample a lower bound on
+its computed value, while a realigned sample's value is at most its
+computed |z|^2 - |z1| L (eq1: 1/a^2 - ((|z1| + L)^2 + |z2|^2)).  The
+sub-plan keeps, in plan order, the samples whose lower bound is at most
+the least of those upper bounds over the samples not refused, and every
+refused sample, so every possible minimum and tie and the refused count:
+the report is that of the full plan, byte for byte.  eq1 tests each alpha
+row as a whole first and keeps the union of the rows' samples; a row that
+keeps none is +inf and calls no kernel.  A written trace, and a map that
+neither source covers (see _screen_bounds), evaluate the full plan.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
 `refused`), while the eq1 scan certifies the residual sign in
 log-magnitude arithmetic when one term dominates (reported as a -inf
-residual) and refuses otherwise.
+residual) and refuses otherwise.  Within the limit the eq1 scan's square
+|z1 + c|^2 can still overflow; such a residual is -inf too, negative as
+1/a^2 - inf, but certified by no log-magnitude test.
 
 Both scans then share one path (_report): the starlike scan is the
 one-row case of eq1's (alpha row x sample) layout.  It applies the
@@ -73,7 +73,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, OverflowRefusalError
-from .series import BallPoint, DiskFunction, as_ball_point, require_point_count
+from .series import (LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, BallPoint, CoefficientSeries,
+                     DiskFunction, as_ball_point, require_point_count)
 from .shear import ShearingMap
 
 DEFAULT_SEED = 1729
@@ -82,8 +83,11 @@ DEFAULT_SEED = 1729
 VIOLATION_THRESHOLD = -1e-12
 
 # Samples with log-magnitudes beyond this are not evaluated plainly; the
-# headroom below the 700 evaluation-refusal limit keeps products of the
-# screened values finite in doubles.
+# headroom below the 700 evaluation-refusal limit keeps the values a scan
+# evaluates, and their sums and products with |z1| and z2, finite in
+# doubles.  eq1's square |z1 + c|^2 can still overflow (|c| up to about
+# e^600); 1/a^2 - inf is then -inf, a negative residual, certified by no
+# log-magnitude test.
 SCAN_LOG_LIMIT = 600.0
 
 # Log-domain sign certification requires this many nats of domination.
@@ -100,6 +104,9 @@ _NODES = 64
 # bound (_lower): 2^-44 is 512 units of roundoff, against fewer than 30
 # that the few operations of a sample take.
 _ROUND = 2.0**-44
+
+# e^(-4 eta): turns e^(x + 2 eta) into e^(x - 2 eta) (see _log_bounds).
+_SHRINK = math.exp(-4.0 * LOG_KERNEL_ETA)
 
 
 @dataclass(frozen=True)
@@ -198,8 +205,8 @@ def eq1_residual(f: ShearingMap, alpha: float, point) -> float:
         m2 = math.inf
     if not math.isfinite(m2):
         raise OverflowRefusalError(
-            "residual magnitude exceeds double range; the scan's log-domain "
-            "path certifies the sign instead"
+            "|z1 + g(z2) - g(a z2)/a|^2 overflows double range, so the residual is "
+            "negative; the scans report such a sample as -inf"
         )
     return 1.0 / (a * a) - (m2 + abs(p.z2) ** 2)
 
@@ -228,9 +235,13 @@ def boundedness_scan(
 # sample construction
 
 
+@functools.lru_cache(maxsize=4)
 def _split_grid(n_split: int) -> np.ndarray:
-    grid = np.linspace(0.0, 1.0, n_split)
-    return np.unique(np.append(grid, _EXTREMAL_SPLIT))
+    """The split values |z2|^2 / s^2, read-only: n_split evenly spaced ones
+    and _EXTREMAL_SPLIT."""
+    grid = np.unique(np.append(np.linspace(0.0, 1.0, n_split), _EXTREMAL_SPLIT))
+    grid.flags.writeable = False
+    return grid
 
 
 class _Samples(NamedTuple):
@@ -290,17 +301,45 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
 # screen: which samples can reach the minimum
 
 
-def _majorant(f: ShearingMap, pts: np.ndarray, weights, trace_path):
-    """(bound, node), or None when every sample is to be evaluated: for a
-    closed form (no coefficients), when a trace is written, when a point
-    lies within about 2^-48 of the unit circle, and when sum_k k|a_k|
-    exceeds e^SCAN_LOG_LIMIT / 2.  node holds each point's node index j,
-    the least with t_j = j / _NODES >= |z2| (1 + 2^-48), which covers the
-    rounding of |z2| and of a*z2.  Row i of bound holds, at each node, an
-    upper bound on |q_i| as the scans compute it at every point of that
-    node, for q_i = sum_k weights(k)[i] a_k z2^k: w = g - z2 g' (weights
-    k - 1) and c = g(z2) - g(a z2)/a (weights 1 - a^(k-1)), each formed from
-    eval_raw and deriv_raw.
+class _Bounds(NamedTuple):
+    """Bounds on |q| as a scan computes it, for q = w = g - z2 g' (the
+    starlike scan, one row) or q = c = g(z2) - g(a z2)/a (eq1, one row per
+    alpha): upper[i, column] and lower[i, column] hold row i at every point
+    (column maps points to the columns: nodes, or slice(None) for one
+    column per point).  lower None means 0 at every point.  A refused
+    sample has upper inf and lower NaN, a certified one (eq1) upper and
+    lower inf."""
+
+    upper: np.ndarray
+    lower: np.ndarray | None
+    column: np.ndarray | slice
+
+
+def _screen_bounds(f: ShearingMap, pts: np.ndarray, avals, trace_path) -> _Bounds | None:
+    """The bounds for the starlike scan (avals None) or the eq1 scan over
+    alphas avals, drawn from g's coefficients (_majorant) or from a closed
+    form's log kernels (_log_bounds); None when every sample is to be
+    evaluated: when a trace is written, for a closed form without log
+    kernels, for a point beyond LOG_KERNEL_RADIUS (closed forms) or within
+    about 2^-48 of the unit circle (coefficients), and when sum_k k|a_k|
+    exceeds e^SCAN_LOG_LIMIT / 2."""
+    if trace_path is not None:
+        return None
+    if f.g.coefficients is not None:
+        return _majorant(f.g.coefficients, pts, avals)
+    return _log_bounds(f.g, pts, avals)
+
+
+def _majorant(series: CoefficientSeries, pts: np.ndarray, avals) -> _Bounds | None:
+    """Bounds from the coefficients, with lower None and one column per
+    node, or None when a point lies within about 2^-48 of the unit circle
+    and when sum_k k|a_k| exceeds e^SCAN_LOG_LIMIT / 2.  A point's column is
+    its node index j, the least with t_j = j / _NODES >= |z2| (1 + 2^-48),
+    which covers the rounding of |z2| and of a*z2; the table ends at the
+    largest node a point reads.  Row i holds, at each node, an upper bound
+    on |q_i| as the scans compute it at every point of that node, for
+    q_i = sum_k w_k a_k z2^k: w (weights w_k = k - 1) and c (weights
+    1 - a^(k-1)), each formed from eval_raw and deriv_raw.
 
     With T_w(t) = sum_k w_k |a_k| t^k, u = 2^-53 and n stored coefficients,
     each bound is T_w(t_j) + 64 u (n + 8) T_k(t_j) + 2^-998 T_k(1) + 2^-900.
@@ -325,15 +364,13 @@ def _majorant(f: ShearingMap, pts: np.ndarray, weights, trace_path):
     assume, and gives log|g| <= SCAN_LOG_LIMIT at every point, so no sample
     is refused.  eval_raw and deriv_raw must evaluate `coefficients` by
     Horner, as disk_function_from_series builds them."""
-    series = f.g.coefficients
-    if series is None or trace_path is not None:
-        return None
     node = np.ceil(np.abs(pts) * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
     if node.max() > _NODES:
         return None
     a = np.abs(np.asarray(series.coeffs, dtype=complex))
     k = np.arange(2.0, a.size + 2.0)
-    terms = np.vstack([weights(k), k]) * a
+    weights = (k - 1.0)[None] if avals is None else 1.0 - np.asarray(avals)[:, None] ** (k - 1.0)
+    terms = np.vstack([weights, k]) * a
     t = np.arange(_NODES + 1) / _NODES
     table = np.zeros((terms.shape[0], t.size))
     power = t  # t^(start + 1)
@@ -348,7 +385,69 @@ def _majorant(f: ShearingMap, pts: np.ndarray, weights, trace_path):
     if not table[-1, -1] <= math.exp(SCAN_LOG_LIMIT) / 2.0:
         return None
     slack = (64.0 * 2.0**-53 * (a.size + 8)) * table[-1] + (2.0**-998 * table[-1, -1] + 2.0**-900)
-    return table[:-1] + slack, node
+    return _Bounds((table[:-1] + slack)[:, :node.max() + 1], None, node)
+
+
+def _eq1_status(la2, laa):
+    """(ok, certified) of the eq1 samples at points with log|g(z2)| = la2
+    and log|g(a z2)/a| = laa: ok where both lie within SCAN_LOG_LIMIT;
+    otherwise certified (residual -inf) where one dominates the other by
+    _LOG_DOMINANCE_MARGIN, and refused where neither does."""
+    ok = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
+    certified = ~ok
+    if certified.any():
+        certified &= np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
+    return ok, certified
+
+
+def _log_bounds(g: DiskFunction, pts: np.ndarray, avals) -> _Bounds | None:
+    """Bounds from a closed form's log kernels, one column per point, or
+    None: without log_abs_raw (for the starlike scan, also
+    deriv_log_abs_raw), and when a point lies beyond LOG_KERNEL_RADIUS, where
+    the kernels promise nothing.  The scans form q = X - Y from two computed
+    terms, X = g and Y = z2 g' for w, X = g(z2) and Y = g(a z2)/a for c, and
+    the kernels give x and y with |X| and |Y| within LOG_KERNEL_ETA nats of
+    e^x and e^y, up to 2^-1000 absolute (see DiskFunction), wherever x and y
+    are at most SCAN_LOG_LIMIT; elsewhere the scans refuse or certify the
+    sample (_eq1_status), and so does the screen.  Then, with e = 2 eta,
+
+        |q| <= e^(x+e) + e^(y+e) + s,
+        |q| >= max(e^(x-e) - e^(y+e), e^(y-e) - e^(x+e)) - s,  and >= 0,
+
+    for s = 2^-998 (eq1: 2^-998 / a).  The second eta covers the rounding of
+    everything between the kernels' values and the computed |q|: that of
+    z2 g', of the quotient by a, of the subtraction, of |.|, of log a and
+    of the bounds themselves, a few units of 2^-53 relative each, and in
+    the exponents at most 2^-40 nats for the logs that give a value above
+    the subnormal range.  s covers the kernels' 2^-1000 (divided by a for
+    g(a z2)/a) and the few roundings in the subnormal range.  The row
+    alpha = 1 has c = 0 exactly."""
+    if (g.log_abs_raw is None or (avals is None and g.deriv_log_abs_raw is None)
+            or not np.abs(pts).max() <= LOG_KERNEL_RADIUS):
+        return None
+    upper = np.zeros((1 if avals is None else len(avals), pts.size))
+    lower = np.zeros(upper.shape)
+    la = np.asarray(g.log_abs_raw(pts), dtype=float)
+    ex = np.exp(la + 2.0 * LOG_KERNEL_ETA)
+    ex_low = ex * _SHRINK
+
+    def fill(i, ey, s, ok, certified):
+        upper[i] = ex + ey + s
+        lower[i] = np.maximum(ex_low - ey, ey * _SHRINK - ex) - s
+        if not ok.all():
+            upper[i, ~ok] = math.inf
+            lower[i] = np.where(ok, lower[i], np.where(certified, math.inf, math.nan))
+
+    if avals is None:
+        lda = np.asarray(g.deriv_log_abs_raw(pts), dtype=float)
+        fill(0, np.abs(pts) * np.exp(lda + 2.0 * LOG_KERNEL_ETA), 2.0**-998,
+             (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT), False)
+    else:
+        for i, a in enumerate(avals):
+            if a < 1.0:
+                laa = np.asarray(g.log_abs_raw(a * pts), dtype=float) - math.log(a)
+                fill(i, np.exp(laa + 2.0 * LOG_KERNEL_ETA), 2.0**-998 / a, *_eq1_status(la, laa))
+    return _Bounds(upper, np.maximum(lower, 0.0, out=lower), slice(None))
 
 
 def _lower(x, y):
@@ -359,14 +458,34 @@ def _lower(x, y):
     return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
 
 
-def _subplan(plan: _Samples, keep) -> _Samples:
-    """The samples in keep (a mask over plan's samples) in plan order, with
-    each distinct point they read once, also in plan order."""
-    need = np.zeros(plan.points.size, dtype=bool)
-    need[plan.src[keep]] = True
+def _subplan(plan: _Samples, need) -> _Samples:
+    """The samples at the points in need (a mask over plan's points), in
+    plan order, with each of those points once, also in plan order."""
+    keep = need[plan.src]
     remap = np.cumsum(need) - 1
     return _Samples(points=plan.points[need], src=remap[plan.src[keep]],
                     r1=plan.r1[keep], phi1=plan.phi1[keep])
+
+
+def _point_r1(plan: _Samples) -> np.ndarray:
+    """|z1| per point: all samples at a point share it (one structured
+    sample, or the two copies _add_twice makes), so a screen decides per
+    point."""
+    r1 = np.empty(plan.points.size)
+    r1[plan.src] = plan.r1
+    return r1
+
+
+def _keep_usable(plan: _Samples, need, lower) -> np.ndarray:
+    """need, and, when a row refuses a sample, also the first point z2 != 0
+    that some row does not refuse, so that _report decides whether every
+    sample whose value depends on g was refused as on the full plan.  lower
+    holds the rows whose samples depend on g, one column per point
+    (_log_bounds); a refused sample's lower bound is NaN."""
+    refused = np.isnan(lower)
+    if refused.any():
+        need[np.flatnonzero(~refused.all(axis=0) & (plan.points != 0.0))[:1]] = True
+    return need
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +591,27 @@ def _report(
 
 def _starlike_screen(f, plan: _Samples, trace_path) -> _Samples:
     """The sub-plan of the samples whose computed value can reach the
-    minimum, or plan itself (see _majorant).  A value is at least
-    |z|^2 - |z1| |w| and, for a realigned z1, at most the computed |z|^2,
-    since rounding is monotone; so each sample whose lower bound exceeds
-    the least |z|^2, which some realigned sample attains, lies above the
-    minimum."""
-    m = _majorant(f, plan.points, lambda k: (k - 1.0)[None], trace_path)
-    if m is None:
+    minimum, or plan itself (see _screen_bounds).  With L <= |w| <= U as
+    computed, a value is at least |z|^2 - |z1| U, and a realigned sample's
+    value is at most the computed |z|^2 - |z1| L, since rounding is
+    monotone.  Every point has a realigned sample (_point_r1), so the least
+    of those upper bounds over the points not refused is attained, and the
+    samples at a point whose lower bound exceeds it lie above the minimum.
+    Refused samples are kept."""
+    b = _screen_bounds(f, plan.points, None, trace_path)
+    if b is None:
         return plan
-    bound, node = m
-    norm_sq = plan.r1**2 + np.abs(plan.points[plan.src]) ** 2
-    lower = _lower(norm_sq, plan.r1 * bound[0, node][plan.src])
-    return _subplan(plan, ~(lower > norm_sq.min()))
+    upper, lower, column = b
+    r1 = _point_r1(plan)
+    norm_sq = r1**2 + np.abs(plan.points) ** 2
+    if lower is None:
+        least = norm_sq.min()
+    else:  # NaN, a refused point, never lowers it
+        least = np.fmin.reduce(norm_sq - r1 * lower[0, column])
+    need = ~(_lower(norm_sq, r1 * upper[0, column]) > least)
+    if lower is not None:
+        need = _keep_usable(plan, need, lower)
+    return _subplan(plan, need)
 
 
 def starlike_scan(
@@ -526,36 +654,45 @@ def default_alpha_grid() -> tuple[float, ...]:
 def _eq1_screen(f, avals, plan: _Samples, trace_path):
     """(samples, live): the sub-plan of the samples whose computed residual
     can reach the minimum in some alpha row, and per alpha whether its row
-    keeps any; or plan itself with every row alpha < 1 live (see _majorant).
-    With q = |z1|^2 + |z2|^2 as computed, a residual is at least
-    1/a^2 - ((|z1| + |c|)^2 + |z2|^2) and, for a realigned z1, at most the
-    computed 1/a^2 - q, since rounding is monotone; the least of these over
-    the alphas, at the largest q, is attained by a realigned sample.  A row
-    alpha < 1 is first tested as a whole, with |z| and |c| at their largest;
-    only a row that fails that test is bounded sample by sample.  The row
-    alpha = 1 holds the computed 1 - q itself."""
-    m = _majorant(f, plan.points, lambda k: 1.0 - np.asarray(avals)[:, None] ** (k - 1.0),
-                  trace_path)
-    if m is None:
+    keeps any; or plan itself with every row alpha < 1 live (see
+    _screen_bounds).  With q = |z1|^2 + |z2|^2 as computed and L <= |c| <= U,
+    a residual is at least 1/a^2 - ((|z1| + U)^2 + |z2|^2) and, for a
+    realigned z1, at most the computed 1/a^2 - ((|z1| + L)^2 + |z2|^2),
+    since rounding is monotone.  As in _starlike_screen the least of these
+    over the alphas and the samples not refused is attained, also when it
+    overflows to -inf (the computed square of |z1| + |c| overflows too), and
+    a certified sample (-inf) makes it -inf.  A row alpha < 1 is first
+    tested as a whole, with |z| and U at their largest; only a row that
+    fails that test is bounded sample by sample.  The row alpha = 1 holds
+    the computed 1 - q itself.  Refused samples are kept."""
+    b = _screen_bounds(f, plan.points, avals, trace_path)
+    if b is None:
         return plan, [a < 1.0 for a in avals]
-    bound, node = m
-    src, r1 = plan.src, plan.r1
-    a2sq = np.abs(plan.points[src]) ** 2
+    upper, lower, column = b
+    r1 = _point_r1(plan)
+    a2sq = np.abs(plan.points) ** 2
     q = r1 * r1 + a2sq
-    top = max(avals)
-    least = 1.0 / (top * top) - q.max()
-    reach = math.sqrt(q.max()) * (1.0 + _ROUND) + bound[:, node.max()]
-    keep = np.zeros(src.size, dtype=bool)
+    qmax = q.max()
+    least = math.inf
+    for i, a in enumerate(avals):
+        # the largest (|z1| + L)^2 + |z2|^2; NaN (refused) never counts
+        m = qmax if lower is None or a == 1.0 else np.fmax.reduce(
+            (r1 + lower[i, column]) ** 2 + a2sq)
+        least = np.fmin(least, 1.0 / (a * a) - m)
+    reach = math.sqrt(qmax) * (1.0 + _ROUND) + upper.max(axis=1)
+    need = np.zeros(q.size, dtype=bool)
     live = [False] * len(avals)
     for i, a in enumerate(avals):
         inv = 1.0 / (a * a)
         if a == 1.0:
-            keep |= ~(1.0 - q > least)
+            need |= ~(1.0 - q > least)
         elif not _lower(inv, reach[i] ** 2) > least:
-            row = ~(_lower(inv, (r1 + bound[i, node][src]) ** 2 + a2sq) > least)
-            keep |= row
+            row = ~(_lower(inv, (r1 + upper[i, column]) ** 2 + a2sq) > least)
+            need |= row
             live[i] = bool(row.any())
-    return _subplan(plan, keep), live
+    if lower is not None:
+        need = _keep_usable(plan, need, lower[np.asarray(avals) < 1.0])
+    return _subplan(plan, need), live
 
 
 def eq1_scan(
@@ -581,8 +718,8 @@ def eq1_scan(
         raise ConfigError(
             "the alpha grid has no alpha below 1, so no sample depends on g; nothing to report"
         )
-    require_point_count(len(avals) * cfg.sample_count,
-                        f"{len(avals)} alphas x {cfg.sample_count} samples")
+    count = cfg.sample_count
+    require_point_count(len(avals) * count, f"{len(avals)} alphas x {count} samples")
     with np.errstate(all="ignore"):
         samples, live = _eq1_screen(f, avals, _build_samples(cfg), trace_path)
         pts, src, r1, phi1 = samples
@@ -605,12 +742,7 @@ def eq1_scan(
                 continue
             ga = f.g.eval_raw(a * pts)
             laa = f.g.log_abs_of(a * pts, ga) - math.log(a)
-            ok[i] = (la2 <= SCAN_LOG_LIMIT) & (laa <= SCAN_LOG_LIMIT)
-            # one term out of double range: certify the sign when it
-            # dominates the other, refuse (NaN) otherwise
-            certified[i] = (~ok[i]) & (
-                np.maximum(la2, laa) - np.minimum(la2, laa) > _LOG_DOMINANCE_MARGIN
-            )
+            ok[i], certified[i] = _eq1_status(la2, laa)
             c[i] = g2 - ga / a
             mm = r1 + np.abs(c[i])[src]
             mm[given] = np.abs(z1_given + c[i][src[given]])

@@ -44,6 +44,11 @@ _BLOCK = 8192
 # raises a ValueError instead of a MemoryError.
 MAX_POINTS = 2**50
 
+# The log kernels of a closed form agree with its values within this many
+# nats on the closed disk of this radius (see DiskFunction).
+LOG_KERNEL_ETA = 2.0**-20
+LOG_KERNEL_RADIUS = 1.0 - 2.0**-8
+
 
 def require_point_count(count: int, what: str) -> None:
     """Refuse a count (a Python int, so it never overflows) above MAX_POINTS
@@ -267,6 +272,18 @@ class DiskFunction:
     computed value (log_abs_of).  coefficients is None for closed-form
     representations without coefficient access.  Series maps come from
     disk_function_from_series; closed forms call this constructor directly.
+
+    A closed form that supplies log_abs_raw (and deriv_log_abs_raw) makes a
+    promise the ball scans' screen relies on: at every z with
+    |z| <= LOG_KERNEL_RADIUS = 1 - 2^-8 where l = log_abs_raw(z) is at most
+    the scans' SCAN_LOG_LIMIT (600),
+
+        e^(l - eta) - 2^-1000 <= |eval_raw(z)| <= e^(l + eta) + 2^-1000,
+
+    with eta = LOG_KERNEL_ETA = 2^-20 nats, and the same of
+    deriv_log_abs_raw and deriv_raw.  Beyond that radius, and where the log
+    exceeds the limit, the kernels promise nothing.  A closed form that
+    cannot keep the promise must not supply the log kernels.
     """
 
     eval_raw: Callable = field(repr=False)

@@ -25,6 +25,8 @@ from shearmaps.counterexample import (
     VERDICT_AFFIRMATIVE,
     VERDICT_INSUFFICIENT_GRID,
 )
+from shearmaps.geometry import SCAN_LOG_LIMIT
+from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS
 
 
 def test_unit_modulus_on_real_axis():
@@ -187,3 +189,48 @@ def test_divergence_record_rejects_inconsistent_bound():
     with pytest.raises(DomainError):
         DivergenceRecord(r=0.9, opnorm=10.0, lower_bound=24297.2,
                          simplified_bound=16200.0, ratio=0.01)
+
+
+def _contract_points(rng, n):
+    """Points of |z| <= LOG_KERNEL_RADIUS = 1 - 2^-8: uniform on the disk,
+    on the rim next to z = 1 (where |1-z|^-3 nears 2^24), and down to
+    |z| = 1e-300."""
+    rim = LOG_KERNEL_RADIUS
+    r = np.concatenate([rim * np.sqrt(rng.random(n)), rim * (1.0 - 1e-3 * rng.random(n)),
+                        10.0 ** rng.uniform(-300.0, -1.0, n)])
+    phase = np.concatenate([2.0 * np.pi * rng.random(n), rng.normal(0.0, 0.02, n),
+                            2.0 * np.pi * rng.random(n)])
+    z = r * np.exp(1j * phase)
+    return z[np.abs(z) <= rim]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_log_kernels_keep_their_promise(seed):
+    """The builtin's log kernels keep the DiskFunction promise the scans'
+    screen relies on: on |z| <= LOG_KERNEL_RADIUS, wherever the log is at
+    most SCAN_LOG_LIMIT, log_abs_raw and deriv_log_abs_raw lie within
+    LOG_KERNEL_ETA of log|g| and log|g'| at 50 digits (mpmath), and
+    |eval_raw| and |deriv_raw| lie within e^(+-eta) of their exponentials,
+    up to 2^-1000 absolute."""
+    mpmath = pytest.importorskip("mpmath")
+    g = counterexample_disk_function()
+    z = _contract_points(np.random.default_rng(seed), 300)
+    with np.errstate(all="ignore"):
+        logs = (g.log_abs_raw(z), g.deriv_log_abs_raw(z))
+        values = (g.eval_raw(z), g.deriv_raw(z))
+    eta = LOG_KERNEL_ETA
+    checked = 0
+    with mpmath.workdps(50):
+        for j, zj in enumerate(z):
+            w = mpmath.mpc(zj.real, zj.imag)
+            decay = (1 / (1 - w) ** 3).imag
+            exact = (2 * mpmath.log(abs(w)) - decay,
+                     mpmath.log(abs(2 * w + 3j * w * w / (1 - w) ** 4)) - decay)
+            for log, value, want in zip(logs, values, exact):
+                if log[j] > SCAN_LOG_LIMIT:
+                    continue
+                checked += 1
+                assert abs(log[j] - want) <= eta
+                assert math.exp(log[j] - eta) - 2.0**-1000 <= abs(value[j])
+                assert abs(value[j]) <= math.exp(log[j] + eta) + 2.0**-1000
+    assert checked >= z.size

@@ -35,8 +35,8 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import _build_samples, _subplan
-from shearmaps.series import _BLOCK, _horner
+from shearmaps.geometry import SCAN_LOG_LIMIT, _build_samples, _point_r1, _split_grid, _subplan
+from shearmaps.series import _BLOCK, LOG_KERNEL_RADIUS, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -376,15 +376,16 @@ def test_scans_evaluate_each_point_once():
     """Kernels see each distinct z2 of the plan at most once: the
     structured grid, each random z2 and each probe z2 (a random point and a
     probe enter the plan twice, with z1 as given and realigned, but share
-    one z2).  The closed-form counterexample has no coefficients to screen
-    with, so it evaluates every point exactly once, and screens with both
-    of its own log evaluators.  A series map derives log|g| from the value
-    it computed and is screened by its coefficient majorant: each point is
-    evaluated at most once (g and g' for the starlike scan, g(z2) and
-    g(a z2) per alpha < 1 for eq1), and neither scan calls a log evaluator.
-    On 0.5/k^3 (degree 200) at the default sampler, the eq1 minimum lies on
-    the alpha = 1 row, every row alpha < 1 clears it as a whole, and g is
-    never evaluated."""
+    one z2).  The closed-form counterexample is screened by its log
+    kernels, which see every point once for the screen and the kept points
+    once more, while eval_raw and deriv_raw see only the kept points (the
+    witness adds one call of each kernel a scan uses).  A series map
+    derives log|g| from the value it computed and is screened by its
+    coefficient majorant: each point is evaluated at most once (g and g'
+    for the starlike scan, g(z2) and g(a z2) per alpha < 1 for eq1), and
+    neither scan calls a log evaluator.  On 0.5/k^3 (degree 200) at the
+    default sampler, the eq1 minimum lies on the alpha = 1 row, every row
+    alpha < 1 clears it as a whole, and g is never evaluated."""
     alphas = default_alpha_grid()
     below_one = sum(a < 1.0 for a in alphas)
     for cfg in (SMALL, _PROBED):
@@ -407,10 +408,14 @@ def test_scans_evaluate_each_point_once():
 
         f, counts = counted_shear(counterexample_map())
         starlike_scan(f, sampler=cfg)
-        assert counts == dict.fromkeys(KERNELS, points + 1)
+        assert set(counts) == set(KERNELS)
+        assert counts["eval_raw"] == counts["deriv_raw"] <= points // 10
+        assert counts["log_abs_raw"] == counts["deriv_log_abs_raw"] == points + counts["eval_raw"]
         counts.clear()
         report = eq1_scan(f, alphas=alphas, sampler=cfg)
-        assert counts == dict.fromkeys(("eval_raw", "log_abs_raw"), eq1_count(report))
+        assert set(counts) == {"eval_raw", "log_abs_raw"}
+        assert counts["eval_raw"] <= eq1_count(report) // 10
+        assert counts["log_abs_raw"] == points * (1 + below_one) + counts["eval_raw"]
 
     cubic = CoefficientSeries(tuple(0.5 / k**3 for k in range(2, 201)))
     f, counts = counted_shear(shear_from_series(cubic))
@@ -527,22 +532,36 @@ def test_cached_plan_keeps_probe_signed_zeros(tmp_path):
     plan = _build_samples(_TINY)
     assert plan is _build_samples(_TINY)
     assert not any(a.flags.writeable for a in plan)
+    # sample_count reads the cached split grid instead of rebuilding it
+    assert _split_grid(_TINY.n_split) is _split_grid(_TINY.n_split)
+    assert not _split_grid(_TINY.n_split).flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_subplan_keeps_samples_in_plan_order(seed):
-    """A sub-plan holds the kept samples in plan order, with each plan
-    point they read once, also in plan order, and the samples' z2, |z1|
-    and phase of z1 (NaN for a realigned sample) bit for bit."""
+    """A sub-plan holds the samples at the kept points in plan order, with
+    each of those points once, also in plan order, and the samples' z2,
+    |z1| and phase of z1 (NaN for a realigned sample) bit for bit."""
     plan = _build_samples(_PROBED)
     rng = np.random.default_rng(seed)
-    keep = rng.random(plan.src.size) < (0.0, 1.0, 0.01, 0.1, 0.5, 0.9)[seed]
-    sub = _subplan(plan, keep)
-    read = np.unique(plan.src[keep])
-    assert sub.points.tobytes() == plan.points[read].tobytes()
+    need = rng.random(plan.points.size) < (0.0, 1.0, 0.01, 0.1, 0.5, 0.9)[seed]
+    sub = _subplan(plan, need)
+    keep = need[plan.src]
+    assert sub.points.tobytes() == plan.points[need].tobytes()
     assert sub.points[sub.src].tobytes() == plan.points[plan.src][keep].tobytes()
     assert sub.r1.tobytes() == plan.r1[keep].tobytes()
     assert sub.phi1.tobytes() == plan.phi1[keep].tobytes()
+
+
+@pytest.mark.parametrize("cfg", [SamplerConfig(), _PROBED,
+                                 dataclasses.replace(_PROBED, n_random=0)])
+def test_samples_at_a_point_share_z1_modulus(cfg):
+    """The screens decide per point, which needs every sample at a point
+    to have the same |z1|: a structured sample has a point of its own, and
+    a random point or probe is sampled twice with one |z1|."""
+    plan = _build_samples(cfg)
+    assert np.unique(plan.src).size == plan.points.size
+    assert _point_r1(plan)[plan.src].tobytes() == plan.r1.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -595,3 +614,98 @@ def test_screened_scans_match_full_evaluation(coeffs, alphas, radius, probes, n_
             screened = _outcome(scan, f, cfg, **kw)
             assert screened == _outcome(scan, full, cfg, **kw)
             assert screened == _outcome(scan, f, cfg, trace_path=trace, **kw)
+
+
+def _exp_shear(k, c):
+    """g(z) = z^2 e^(k z + c): a closed form whose log kernels keep the
+    DiskFunction promise, log|g| = 2 log|z| + k Re z + c, so that for c
+    near 600 or a large k it refuses most samples, and for c = 690 every
+    sample at z2 != 0 (eq1: unless another term dominates)."""
+    def eval_raw(z):
+        return z * (z * np.exp(k * z + c))
+
+    def deriv_raw(z):
+        return (2.0 + k * z) * (z * np.exp(k * z + c))
+
+    def log_abs_raw(z):
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(np.abs(z)) + k * np.real(z) + c
+
+    def deriv_log_abs_raw(z):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(2.0 + k * z)) + np.log(np.abs(z)) + k * np.real(z) + c
+
+    return ShearingMap(DiskFunction(eval_raw, deriv_raw, log_abs_raw, deriv_log_abs_raw,
+                                    label=f"exp({k} z + {c})"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.one_of(st.just(counterexample_map()),
+                st.builds(_exp_shear, st.floats(0.0, 3000.0),
+                          st.sampled_from([0.0, 400.0, 590.0, 690.0]))),
+    alphas=st.sampled_from([None, (0.5, 1.0), (0.3, 0.6, 0.9), (0.999,), (1e-150, 0.2)]),
+    radius=st.one_of(st.floats(0.3, 0.9999),
+                     st.sampled_from([LOG_KERNEL_RADIUS, math.nextafter(LOG_KERNEL_RADIUS, 1.0)])),
+    rim_phases=st.lists(st.floats(-0.2, 0.2), max_size=3),
+    beyond=st.booleans(),
+    n_random=st.integers(0, 40),
+    seed=st.integers(0, 2**16),
+)
+# the defaults at which the eq1 scan reports -inf: |z1 + c|^2 overflows
+@example(f=counterexample_map(), alphas=None, radius=0.99, rim_phases=[0.1], beyond=False,
+         n_random=40, seed=1729)
+# beyond the promise's radius: the full plan runs
+@example(f=counterexample_map(), alphas=None, radius=0.999, rim_phases=[0.0], beyond=True,
+         n_random=40, seed=1729)
+# every sample at z2 != 0 is refused: the same error either way
+@example(f=_exp_shear(10.0, 690.0), alphas=(0.5, 1.0), radius=0.9, rim_phases=[],
+         beyond=False, n_random=10, seed=0)
+def test_log_screened_scans_match_full_evaluation(f, alphas, radius, rim_phases, beyond,
+                                                  n_random, seed):
+    """Both scans of a closed form with log kernels, which the screen
+    reads, report byte for byte what a traced scan reports, which
+    evaluates every sample: extremum, witness, refused count and alpha, or
+    the same error.  Probes sit next to the sphere of the sampling radius
+    and on the rim 1 - 2^-8 of the kernels' promise, near z2 = 1, and with
+    beyond, one at 0.9999, past the rim, where the full plan runs."""
+    rims = (0.999 * radius, LOG_KERNEL_RADIUS) + ((0.9999,) if beyond else ())
+    probes = [(0.01j, rho * complex(math.cos(p), math.sin(p))) for p in rim_phases for rho in rims]
+    cfg = SamplerConfig(radius=radius, n_radial=4, n_split=4, n_phase=3, n_random=n_random,
+                        seed=seed, probes=probes)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.csv"
+        for scan, kw in ((starlike_scan, {}), (eq1_scan, {"alphas": alphas})):
+            assert _outcome(scan, f, cfg, **kw) == _outcome(scan, f, cfg, trace_path=trace, **kw)
+
+
+def test_eq1_overflow_is_negative_without_a_certificate():
+    """The default eq1 scan of the builtin map reports -inf with nothing
+    refused or certified: at its witness both logs lie within the screening
+    limit (log|g(z2)| is about 465.6), yet |z1 + c|^2 overflows, so the
+    residual 1/a^2 - inf is -inf.  eq1_residual refuses that point with a
+    message that says so."""
+    f = counterexample_map()
+    report = eq1_scan(f)
+    assert report.extremum == -math.inf and report.refused == 0
+    z2, a = report.witness.z2, report.alpha
+    log_g = float(f.g.log_abs_raw(z2))
+    assert 465.0 < log_g < 466.0
+    assert float(f.g.log_abs_raw(a * z2)) - math.log(a) <= SCAN_LOG_LIMIT
+    with pytest.raises(OverflowRefusalError, match="overflows") as info:
+        eq1_residual(f, a, report.witness)
+    assert "log-domain" not in str(info.value)
+
+
+def test_screen_keeps_a_sample_that_depends_on_g(tmp_path):
+    """e^(10 z + 690) z^2 refuses every sample at z2 != 0 except a probe at
+    z2 = 1e-160 with |z1| = 0.9, whose value lies far above the minimum at
+    z2 = 0.  The screen keeps that probe anyway, so a scan decides whether
+    every sample whose value depends on g was refused as the traced scan
+    does, over the full plan: both report."""
+    f = _exp_shear(10.0, 690.0)
+    cfg = dataclasses.replace(_TINY, probes=((0.9, 1e-160),))
+    for scan in (starlike_scan, eq1_scan):
+        screened = _outcome(scan, f, cfg)
+        assert screened.startswith("ScanReport(")
+        assert screened == _outcome(scan, f, cfg, trace_path=tmp_path / "trace.csv")
