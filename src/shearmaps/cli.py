@@ -161,7 +161,7 @@ def _cmd_scan(args: argparse.Namespace):
     """starlike-scan and eq1-scan (over the alpha grid, by default
     default_alpha_grid())."""
     shear = _load_map(args)
-    kwargs = dict(sampler=_sampler(args), workers=args.workers, trace_path=args.trace)
+    kwargs = dict(sampler=_sampler(args), trace_path=args.trace)
     if args.subcommand == "eq1-scan":
         report = eq1_scan(shear, alphas=args.grid, **kwargs)
         columns = _SCAN_COLUMNS[:5] + ("alpha",) + _SCAN_COLUMNS[5:]
@@ -173,9 +173,7 @@ def _cmd_scan(args: argparse.Namespace):
 
 def _cmd_growth_scan(args: argparse.Namespace):
     shear = _load_map(args)
-    records = growth_conformance_scan(
-        shear, args.grid, n_angular=args.angular, workers=args.workers
-    )
+    records = growth_conformance_scan(shear, args.grid, n_angular=args.angular)
     comments = [
         _source_comment(args, shear),
         ("radii", ":".join(repr(r) for r in args.grid)),
@@ -275,8 +273,6 @@ def _add_source_args(parser):
 def _add_output_args(parser):
     parser.add_argument("--out", metavar="PATH", help="write report here (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; no effect, scans run on one thread")
 
 
 def _add_sampler_args(parser):
@@ -364,14 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Parse the --probe and --grid strings in place and check --workers;
-    the handlers and run() read the returned namespace."""
+    """Parse the --probe and --grid strings in place; the handlers and
+    run() read the returned namespace."""
     if hasattr(args, "probes"):
         args.probes = tuple(parse_probe(p) for p in args.probes)
     if getattr(args, "grid", None) is not None:
         args.grid = parse_grid(args.grid)
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     return args
 
 

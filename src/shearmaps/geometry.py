@@ -27,21 +27,13 @@ seed and is cached, read-only.  The scans run on one thread; their
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
 alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
-runs per sample.  A screen first picks the samples that can reach the
-minimum, and the scan evaluates that sub-plan (_subplan) on its one path.
-The screen bounds the number the scan computes at each point, w or c per
-alpha, by L <= |q| <= U, drawn from g's coefficients (_majorant, L = 0) or
-from a closed form's log kernels (_log_bounds), which also refuse or
-certify samples as the scan does.  That gives each sample a lower bound on
-its computed value, while a realigned sample's value is at most its
-computed |z|^2 - |z1| L (eq1: 1/a^2 - ((|z1| + L)^2 + |z2|^2)).  The
-sub-plan keeps, in plan order, the samples whose lower bound is at most
-the least of those upper bounds over the samples not refused, and every
-refused sample, so every possible minimum and tie and the refused count:
-the report is that of the full plan, byte for byte.  eq1 tests each alpha
-row as a whole first and keeps the union of the rows' samples; a row that
-keeps none is +inf and calls no kernel.  A written trace, and a map that
-neither source covers (see _screen_bounds), evaluate the full plan.
+runs per sample.  A screen (_screen, which states its keep rule) first
+picks the samples that can reach the minimum, from bounds on the number
+the scan computes at each point, w or c per alpha, drawn from g's
+coefficients (_majorant) or from a closed form's log kernels
+(_log_bounds).  The scan evaluates that sub-plan (_subplan) on its one
+path, and reports what the full plan reports, byte for byte; an eq1 row
+that keeps no sample is +inf and calls no kernel.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
@@ -302,44 +294,30 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
 
 
 class _Bounds(NamedTuple):
-    """Bounds on |q| as a scan computes it, for q = w = g - z2 g' (the
-    starlike scan, one row) or q = c = g(z2) - g(a z2)/a (eq1, one row per
-    alpha): upper[i, column] and lower[i, column] hold row i at every point
-    (column maps points to the columns: nodes, or slice(None) for one
-    column per point).  lower None means 0 at every point.  A refused
+    """Bounds L <= |q| <= U on the number q a scan computes at each point:
+    q = w = g - z2 g' (the starlike scan, one row) or q = c = g(z2) -
+    g(a z2)/a (eq1, one row per alpha).  upper[i, column] and
+    lower[i, column] hold row i at every point (column maps points to the
+    columns: nodes, or slice(None) for one column per point).  A refused
     sample has upper inf and lower NaN, a certified one (eq1) upper and
     lower inf."""
 
     upper: np.ndarray
-    lower: np.ndarray | None
+    lower: np.ndarray
     column: np.ndarray | slice
 
 
-def _screen_bounds(f: ShearingMap, pts: np.ndarray, avals, trace_path) -> _Bounds | None:
-    """The bounds for the starlike scan (avals None) or the eq1 scan over
-    alphas avals, drawn from g's coefficients (_majorant) or from a closed
-    form's log kernels (_log_bounds); None when every sample is to be
-    evaluated: when a trace is written, for a closed form without log
-    kernels, for a point beyond LOG_KERNEL_RADIUS (closed forms) or within
-    about 2^-48 of the unit circle (coefficients), and when sum_k k|a_k|
-    exceeds e^SCAN_LOG_LIMIT / 2."""
-    if trace_path is not None:
-        return None
-    if f.g.coefficients is not None:
-        return _majorant(f.g.coefficients, pts, avals)
-    return _log_bounds(f.g, pts, avals)
-
-
-def _majorant(series: CoefficientSeries, pts: np.ndarray, avals) -> _Bounds | None:
-    """Bounds from the coefficients, with lower None and one column per
-    node, or None when a point lies within about 2^-48 of the unit circle
-    and when sum_k k|a_k| exceeds e^SCAN_LOG_LIMIT / 2.  A point's column is
-    its node index j, the least with t_j = j / _NODES >= |z2| (1 + 2^-48),
-    which covers the rounding of |z2| and of a*z2; the table ends at the
-    largest node a point reads.  Row i holds, at each node, an upper bound
-    on |q_i| as the scans compute it at every point of that node, for
-    q_i = sum_k w_k a_k z2^k: w (weights w_k = k - 1) and c (weights
-    1 - a^(k-1)), each formed from eval_raw and deriv_raw.
+def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds | None:
+    """Bounds from the coefficients at points of moduli |z2| = modulus,
+    with lower 0 and one column per node, or None when a point lies within
+    about 2^-48 of the unit circle and when sum_k k|a_k| exceeds
+    e^SCAN_LOG_LIMIT / 2.  A point's column is its node index j, the least
+    with t_j = j / _NODES >= |z2| (1 + 2^-48), which covers the rounding of
+    |z2| and of a*z2; the table ends at the largest node a point reads.
+    Row i holds, at each node, an upper bound on |q_i| as the scans compute
+    it at every point of that node, for q_i = sum_k w_k a_k z2^k: w
+    (weights w_k = k - 1) and c (weights 1 - a^(k-1)), each formed from
+    eval_raw and deriv_raw.
 
     With T_w(t) = sum_k w_k |a_k| t^k, u = 2^-53 and n stored coefficients,
     each bound is T_w(t_j) + 64 u (n + 8) T_k(t_j) + 2^-998 T_k(1) + 2^-900.
@@ -364,7 +342,7 @@ def _majorant(series: CoefficientSeries, pts: np.ndarray, avals) -> _Bounds | No
     assume, and gives log|g| <= SCAN_LOG_LIMIT at every point, so no sample
     is refused.  eval_raw and deriv_raw must evaluate `coefficients` by
     Horner, as disk_function_from_series builds them."""
-    node = np.ceil(np.abs(pts) * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
+    node = np.ceil(modulus * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
     if node.max() > _NODES:
         return None
     a = np.abs(np.asarray(series.coeffs, dtype=complex))
@@ -385,7 +363,8 @@ def _majorant(series: CoefficientSeries, pts: np.ndarray, avals) -> _Bounds | No
     if not table[-1, -1] <= math.exp(SCAN_LOG_LIMIT) / 2.0:
         return None
     slack = (64.0 * 2.0**-53 * (a.size + 8)) * table[-1] + (2.0**-998 * table[-1, -1] + 2.0**-900)
-    return _Bounds((table[:-1] + slack)[:, :node.max() + 1], None, node)
+    upper = (table[:-1] + slack)[:, :node.max() + 1]
+    return _Bounds(upper, np.zeros(upper.shape), node)
 
 
 def _eq1_status(la2, laa):
@@ -400,9 +379,9 @@ def _eq1_status(la2, laa):
     return ok, certified
 
 
-def _log_bounds(g: DiskFunction, pts: np.ndarray, avals) -> _Bounds | None:
-    """Bounds from a closed form's log kernels, one column per point, or
-    None: without log_abs_raw (for the starlike scan, also
+def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, avals) -> _Bounds | None:
+    """Bounds from a closed form's log kernels at pts, of moduli modulus,
+    one column per point, or None: without log_abs_raw (for the starlike scan, also
     deriv_log_abs_raw), and when a point lies beyond LOG_KERNEL_RADIUS, where
     the kernels promise nothing.  The scans form q = X - Y from two computed
     terms, X = g and Y = z2 g' for w, X = g(z2) and Y = g(a z2)/a for c, and
@@ -423,7 +402,7 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, avals) -> _Bounds | None:
     g(a z2)/a) and the few roundings in the subnormal range.  The row
     alpha = 1 has c = 0 exactly."""
     if (g.log_abs_raw is None or (avals is None and g.deriv_log_abs_raw is None)
-            or not np.abs(pts).max() <= LOG_KERNEL_RADIUS):
+            or not modulus.max() <= LOG_KERNEL_RADIUS):
         return None
     upper = np.zeros((1 if avals is None else len(avals), pts.size))
     lower = np.zeros(upper.shape)
@@ -440,7 +419,7 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, avals) -> _Bounds | None:
 
     if avals is None:
         lda = np.asarray(g.deriv_log_abs_raw(pts), dtype=float)
-        fill(0, np.abs(pts) * np.exp(lda + 2.0 * LOG_KERNEL_ETA), 2.0**-998,
+        fill(0, modulus * np.exp(lda + 2.0 * LOG_KERNEL_ETA), 2.0**-998,
              (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT), False)
     else:
         for i, a in enumerate(avals):
@@ -467,25 +446,77 @@ def _subplan(plan: _Samples, need) -> _Samples:
                     r1=plan.r1[keep], phi1=plan.phi1[keep])
 
 
-def _point_r1(plan: _Samples) -> np.ndarray:
-    """|z1| per point: all samples at a point share it (one structured
-    sample, or the two copies _add_twice makes), so a screen decides per
-    point."""
+def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
+    """(samples, live): the sub-plan of the samples whose computed value
+    can reach the minimum in some row (the starlike scan's one, avals None,
+    or eq1's, one per alpha), and per row whether it keeps a sample whose
+    value depends on g.  A written trace, and a map that neither _majorant
+    nor _log_bounds covers, get plan itself, every row live but alpha = 1.
+
+    The keep rule.  At a realigned sample a row's computed value is
+    x - y(|z1|, |z2|^2, |q|), with x, y >= 0 and y increasing in |z1| and
+    |q|: x = |z|^2 and y = |z1| |w| (starlike), x = 1/a^2 and
+    y = (|z1| + |c|)^2 + |z2|^2 (eq1); a z1 as given makes it no smaller.
+    With L <= |q| <= U (_Bounds), each sample's computed value is at least
+    _lower(x, y(U)), and a realigned one's at most the computed x - y(L),
+    since rounding is monotone.  All samples at a point share |z1| (one
+    structured sample, or the two copies _add_twice makes) and every point
+    has a realigned sample, so the least of those upper bounds over the
+    rows and the samples not refused is attained, also when it overflows to
+    -inf; a certified sample (-inf) makes it -inf.  The sub-plan keeps, in
+    plan order, the samples whose lower bound in some row is at most that
+    least, so every possible minimum and tie; every refused sample; and,
+    when a row refuses one, the first point z2 != 0 that some row whose
+    values depend on g does not refuse, so that _report decides whether all
+    such samples were refused as on the full plan.  So it reports what the
+    full plan reports, byte for byte.  A row is first tested as a whole, at
+    y(max |z|, 0, max U), which bounds y at every point.  At alpha = 1,
+    c = 0 and x - y(0) is exact."""
+    alphas = (None,) if avals is None else avals
+    depends = [a != 1.0 for a in alphas]
+    if trace_path is not None:
+        return plan, depends
+    a2 = np.abs(plan.points)
+    b = (_majorant(f.g.coefficients, a2, avals) if f.g.coefficients is not None
+         else _log_bounds(f.g, plan.points, a2, avals))
+    if b is None:
+        return plan, depends
+    upper, lower, column = b
     r1 = np.empty(plan.points.size)
     r1[plan.src] = plan.r1
-    return r1
+    a2sq = a2 * a2
+    q = r1 * r1 + a2sq
+    qmax = q.max()
+    # per row x and its least, then y(0) and its largest
+    xs, y0, y0max = (([(q, q.min())], 0.0, 0.0) if avals is None
+                     else ([(1.0 / (a * a),) * 2 for a in avals], q, qmax))
 
+    def y(r, s, m):
+        return r * m if avals is None else (r + m) ** 2 + s
 
-def _keep_usable(plan: _Samples, need, lower) -> np.ndarray:
-    """need, and, when a row refuses a sample, also the first point z2 != 0
-    that some row does not refuse, so that _report decides whether every
-    sample whose value depends on g was refused as on the full plan.  lower
-    holds the rows whose samples depend on g, one column per point
-    (_log_bounds); a refused sample's lower bound is NaN."""
-    refused = np.isnan(lower)
-    if refused.any():
-        need[np.flatnonzero(~refused.all(axis=0) & (plan.points != 0.0))[:1]] = True
-    return need
+    # where L = 0 at every point, x or y(0) is the same at every point, so
+    # x - y(0) is least where x is least and y(0) largest; min keeps the
+    # least against a NaN (refused)
+    nonzero = lower.any(axis=1).tolist()
+    least = math.inf
+    for (x, xmin), low, nz in zip(xs, lower, nonzero):
+        least = min(least, np.fmin.reduce(x - y(r1, a2sq, low[column])) if nz else xmin - y0max)
+    zmax = math.sqrt(qmax) * (1.0 + _ROUND)  # at least |z| at every point
+    need = np.zeros(q.size, dtype=bool)
+    live = [False] * len(alphas)
+    for i, (a, (x, xmin), umax) in enumerate(zip(alphas, xs, upper.max(axis=1))):
+        if _lower(xmin, y(zmax, 0.0, umax)) > least:
+            continue
+        if a == 1.0:
+            row = ~(x - y0 > least)
+        else:
+            row = ~(_lower(x, y(r1, a2sq, upper[i, column])) > least)
+            live[i] = bool(row.any())
+        need |= row
+    if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
+        usable = ~np.isnan(lower[depends]).all(axis=0)
+        need[np.flatnonzero(usable[column] & (plan.points != 0.0))[:1]] = True
+    return _subplan(plan, need), live
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +548,9 @@ def _report(
         r, p = r1[j], src[j]
         cp, okp = c[i, p], ok[i, p]
         with np.errstate(all="ignore"):
+            # dividing by |c| takes 1/|c|, which overflows for |c| below
+            # about 2^-1024: realign along c 2^600 there, scaled exactly
+            cp = np.where(1.0 / np.abs(cp) == math.inf, cp * 2.0**600, cp)
             absc = np.abs(cp)
             # (sign * r) first: r * (-c) can flip the sign of a zero part
             z1 = np.where(okp & (absc > 0.0), (sign * r) * cp / np.where(absc > 0.0, absc, 1.0), r)
@@ -534,8 +568,9 @@ def _report(
     z1, z2 = z1_of(cand), pts[src[cand % n]]
     keys = np.column_stack([z1.real, z1.imag, z2.real, z2.imag]
                            + ([np.asarray(alphas)[cand // n]] if eq1 else []))
-    best = int(cand[min(range(cand.size), key=lambda k: tuple(keys[k]))])
-    witness = BallPoint(complex(z1_of([best])[0]), complex(pts[src[best % n]]))
+    k = min(range(cand.size), key=lambda k: tuple(keys[k]))
+    best = int(cand[k])
+    witness = BallPoint(complex(z1[k]), complex(z2[k]))
     alpha = alphas[best // n] if eq1 else None
     extremum = float(flat[best])
     if math.isfinite(extremum):
@@ -589,31 +624,6 @@ def _report(
 # starlike scan
 
 
-def _starlike_screen(f, plan: _Samples, trace_path) -> _Samples:
-    """The sub-plan of the samples whose computed value can reach the
-    minimum, or plan itself (see _screen_bounds).  With L <= |w| <= U as
-    computed, a value is at least |z|^2 - |z1| U, and a realigned sample's
-    value is at most the computed |z|^2 - |z1| L, since rounding is
-    monotone.  Every point has a realigned sample (_point_r1), so the least
-    of those upper bounds over the points not refused is attained, and the
-    samples at a point whose lower bound exceeds it lie above the minimum.
-    Refused samples are kept."""
-    b = _screen_bounds(f, plan.points, None, trace_path)
-    if b is None:
-        return plan
-    upper, lower, column = b
-    r1 = _point_r1(plan)
-    norm_sq = r1**2 + np.abs(plan.points) ** 2
-    if lower is None:
-        least = norm_sq.min()
-    else:  # NaN, a refused point, never lowers it
-        least = np.fmin.reduce(norm_sq - r1 * lower[0, column])
-    need = ~(_lower(norm_sq, r1 * upper[0, column]) > least)
-    if lower is not None:
-        need = _keep_usable(plan, need, lower)
-    return _subplan(plan, need)
-
-
 def starlike_scan(
     f: ShearingMap,
     sampler: SamplerConfig | None = None,
@@ -625,7 +635,7 @@ def starlike_scan(
     workers is accepted for compatibility and has no effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
     with np.errstate(all="ignore"):
-        samples = _starlike_screen(f, _build_samples(cfg), trace_path)
+        samples, _ = _screen(f, _build_samples(cfg), None, trace_path)
         pts, src, r1, phi1 = samples
         given = ~np.isnan(phi1)
         norm_sq = r1**2 + np.abs(pts[src]) ** 2
@@ -649,50 +659,6 @@ def starlike_scan(
 
 def default_alpha_grid() -> tuple[float, ...]:
     return tuple(np.linspace(0.1, 1.0, 10).tolist())
-
-
-def _eq1_screen(f, avals, plan: _Samples, trace_path):
-    """(samples, live): the sub-plan of the samples whose computed residual
-    can reach the minimum in some alpha row, and per alpha whether its row
-    keeps any; or plan itself with every row alpha < 1 live (see
-    _screen_bounds).  With q = |z1|^2 + |z2|^2 as computed and L <= |c| <= U,
-    a residual is at least 1/a^2 - ((|z1| + U)^2 + |z2|^2) and, for a
-    realigned z1, at most the computed 1/a^2 - ((|z1| + L)^2 + |z2|^2),
-    since rounding is monotone.  As in _starlike_screen the least of these
-    over the alphas and the samples not refused is attained, also when it
-    overflows to -inf (the computed square of |z1| + |c| overflows too), and
-    a certified sample (-inf) makes it -inf.  A row alpha < 1 is first
-    tested as a whole, with |z| and U at their largest; only a row that
-    fails that test is bounded sample by sample.  The row alpha = 1 holds
-    the computed 1 - q itself.  Refused samples are kept."""
-    b = _screen_bounds(f, plan.points, avals, trace_path)
-    if b is None:
-        return plan, [a < 1.0 for a in avals]
-    upper, lower, column = b
-    r1 = _point_r1(plan)
-    a2sq = np.abs(plan.points) ** 2
-    q = r1 * r1 + a2sq
-    qmax = q.max()
-    least = math.inf
-    for i, a in enumerate(avals):
-        # the largest (|z1| + L)^2 + |z2|^2; NaN (refused) never counts
-        m = qmax if lower is None or a == 1.0 else np.fmax.reduce(
-            (r1 + lower[i, column]) ** 2 + a2sq)
-        least = np.fmin(least, 1.0 / (a * a) - m)
-    reach = math.sqrt(qmax) * (1.0 + _ROUND) + upper.max(axis=1)
-    need = np.zeros(q.size, dtype=bool)
-    live = [False] * len(avals)
-    for i, a in enumerate(avals):
-        inv = 1.0 / (a * a)
-        if a == 1.0:
-            need |= ~(1.0 - q > least)
-        elif not _lower(inv, reach[i] ** 2) > least:
-            row = ~(_lower(inv, (r1 + upper[i, column]) ** 2 + a2sq) > least)
-            need |= row
-            live[i] = bool(row.any())
-    if lower is not None:
-        need = _keep_usable(plan, need, lower[np.asarray(avals) < 1.0])
-    return _subplan(plan, need), live
 
 
 def eq1_scan(
@@ -721,7 +687,7 @@ def eq1_scan(
     count = cfg.sample_count
     require_point_count(len(avals) * count, f"{len(avals)} alphas x {count} samples")
     with np.errstate(all="ignore"):
-        samples, live = _eq1_screen(f, avals, _build_samples(cfg), trace_path)
+        samples, live = _screen(f, _build_samples(cfg), avals, trace_path)
         pts, src, r1, phi1 = samples
         given = ~np.isnan(phi1)
         a2sq = np.abs(pts[src]) ** 2

@@ -270,7 +270,6 @@ def test_exit_2_cases(tmp_path, geo_spec, capsys):
         ["eq1-scan", "--input", geo_spec, "--grid", "0.5:2.0:3"],
         ["counterexample", "--grid", "0.9:0.6:2"],
         ["counterexample", "--c-report", "0.1"],
-        ["certify", "--input", geo_spec, "--workers", "0"],
     ]
     for argv in cases:
         capsys.readouterr()
@@ -395,7 +394,7 @@ def test_exit_codes_on_fuzzed_specs(terms):
                            for r in rows), argv
 
 
-_OUTPUT_OPTIONS = {"--out", "--format", "--workers"}
+_OUTPUT_OPTIONS = {"--out", "--format"}
 _SOURCE_OPTIONS = {"--input", "--builtin"}
 _SAMPLER_OPTIONS = {"--radius", "--s-grid", "--t-grid", "--phase-grid", "--random", "--seed",
                     "--probe", "--trace"}
@@ -454,7 +453,7 @@ def _flag_argv(draw):
     for flag in ("--s-grid", "--t-grid", "--phase-grid"):
         maybe(flag, st.integers(-1, 3))
     maybe("--random", st.sampled_from([-1, 0, 1, 20]))
-    for flag in ("--seed", "--n-max", "--truncate", "--workers"):
+    for flag in ("--seed", "--n-max", "--truncate"):
         maybe(flag, _HOSTILE_INTS)
     maybe("--angular", st.sampled_from([-1, 0, 1, 16]))
     maybe("--c-report", _HOSTILE_FLOATS)

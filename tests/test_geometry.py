@@ -35,7 +35,7 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import SCAN_LOG_LIMIT, _build_samples, _point_r1, _split_grid, _subplan
+from shearmaps.geometry import SCAN_LOG_LIMIT, _build_samples, _screen, _split_grid, _subplan
 from shearmaps.series import _BLOCK, LOG_KERNEL_RADIUS, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
@@ -383,9 +383,12 @@ def test_scans_evaluate_each_point_once():
     derives log|g| from the value it computed and is screened by its
     coefficient majorant: each point is evaluated at most once (g and g'
     for the starlike scan, g(z2) and g(a z2) per alpha < 1 for eq1), and
-    neither scan calls a log evaluator.  On 0.5/k^3 (degree 200) at the
-    default sampler, the eq1 minimum lies on the alpha = 1 row, every row
-    alpha < 1 clears it as a whole, and g is never evaluated."""
+    neither scan calls a log evaluator.  At the default sampler the screen
+    keeps at most 200, 200 and 1 points for the starlike scans of the
+    geometric series, of 0.5/k^3 (degree 200) and of the counterexample,
+    and 1, 1 and 2 for their eq1 scans; the eq1 minimum of both series
+    lies on the alpha = 1 row, every row alpha < 1 clears it as a whole,
+    and g is never evaluated."""
     alphas = default_alpha_grid()
     below_one = sum(a < 1.0 for a in alphas)
     for cfg in (SMALL, _PROBED):
@@ -417,15 +420,24 @@ def test_scans_evaluate_each_point_once():
         assert counts["eval_raw"] <= eq1_count(report) // 10
         assert counts["log_abs_raw"] == points * (1 + below_one) + counts["eval_raw"]
 
-    cubic = CoefficientSeries(tuple(0.5 / k**3 for k in range(2, 201)))
-    f, counts = counted_shear(shear_from_series(cubic))
-    points = SamplerConfig().sample_count - SamplerConfig().n_random
-    starlike_scan(f)
-    assert counts["eval_raw"] == counts["deriv_raw"] <= points // 10
-    counts.clear()
-    report = eq1_scan(f)
-    assert report.alpha == 1.0
-    assert counts == {}
+    plan = _build_samples(SamplerConfig())
+    cubic = shear_from_series(CoefficientSeries(tuple(0.5 / k**3 for k in range(2, 201))))
+    for f, caps in ((geometric_shear(), (200, 1)), (cubic, (200, 1)),
+                    (counterexample_map(), (1, 2))):
+        for avals, cap in zip((None, alphas), caps):
+            with np.errstate(all="ignore"):
+                sub, live = _screen(f, plan, avals, None)
+            assert sub.points.size <= cap
+        if f.g.coefficients is None:
+            continue
+        assert not any(live)
+        f, counts = counted_shear(f)
+        starlike_scan(f)
+        assert counts["eval_raw"] == counts["deriv_raw"] <= 200 + 1
+        counts.clear()
+        report = eq1_scan(f)
+        assert report.alpha == 1.0
+        assert counts == {}
 
 
 _TINY = SamplerConfig(radius=0.95, n_radial=3, n_split=3, n_phase=2, n_random=30)
@@ -556,12 +568,14 @@ def test_subplan_keeps_samples_in_plan_order(seed):
 @pytest.mark.parametrize("cfg", [SamplerConfig(), _PROBED,
                                  dataclasses.replace(_PROBED, n_random=0)])
 def test_samples_at_a_point_share_z1_modulus(cfg):
-    """The screens decide per point, which needs every sample at a point
+    """The screen decides per point, which needs every sample at a point
     to have the same |z1|: a structured sample has a point of its own, and
     a random point or probe is sampled twice with one |z1|."""
     plan = _build_samples(cfg)
     assert np.unique(plan.src).size == plan.points.size
-    assert _point_r1(plan)[plan.src].tobytes() == plan.r1.tobytes()
+    r1 = np.empty(plan.points.size)
+    r1[plan.src] = plan.r1
+    assert r1[plan.src].tobytes() == plan.r1.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +611,11 @@ def _outcome(scan, f, cfg, **kwargs):
 @example(coeffs=[1e308 * (1 + 1j)], alphas=None, radius=0.9, probes=_EDGE_PROBES, n_random=10)
 # the eq1 screen keeps 3 of 132 samples, read by the live rows 0.8 and 0.9
 @example(coeffs=[2.7], alphas=None, radius=0.999, probes=_EDGE_PROBES, n_random=40)
+# |w| or |c| below about 2^-1024 at the witness: realigning z1 along it
+# once gave a non-finite z1 and exit 2, for both scans, traced or not
+@example(coeffs=[1e-320], alphas=(0.3, 0.6, 0.9), radius=0.99, probes=(), n_random=10)
+@example(coeffs=[4e-308], alphas=(0.3, 0.6, 0.9), radius=0.99, probes=(), n_random=10)
+@example(coeffs=[0j, 1e-310], alphas=(0.3, 0.6, 0.9), radius=0.999, probes=(), n_random=10)
 def test_screened_scans_match_full_evaluation(coeffs, alphas, radius, probes, n_random):
     """Both scans of a series map, which the coefficient majorant screens,
     report byte for byte what the same polynomial reports when wrapped as a
