@@ -32,6 +32,20 @@ deriv_log_abs_raw and log|deriv_raw|, which share the prefactor
 below 5.  There |1-zeta|^-3 <= 2^24 and |log|zeta|| <= 745 above the
 subnormal range, so the bound stays below 2^-26, within LOG_KERNEL_ETA =
 2^-20; below that range the promise's 2^-1000 absolute slack applies.
+
+The radial bound log_max_abs(t) = 2 log t + (1-t)^-3 + LOG_KERNEL_ETA keeps
+the DiskFunction promise for it.  On |zeta| <= t, |exp(i v^-1)| =
+e^(-Im v^-1) <= e^(|1-zeta|^-3) <= e^((1-t)^-3), so the exact log|g| is at
+most 2 log t + (1-t)^-3 (the maximum modulus principle, read off the
+exponent).  log_abs_raw errs from the exact log|g| by at most
+c u (1 + |log|zeta|| + |1-zeta|^-3), the estimate above with the few
+roundings of v itself added to those of 1/v, and the computed bound errs
+from its exact value by a few u (|2 log t| + (1-t)^-3): log t, the cube of
+1 - t, its reciprocal and the two sums.  On t <= 1 - 2^-8 each error stays
+below 2^-26 as above, so LOG_KERNEL_ETA covers both with room to spare.
+Every term is nondecreasing in t, and so is its computed value, because
+log, products, the reciprocal of a positive number and sums round
+monotonically.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .growth import shear_opnorm
-from .series import DiskFunction
+from .series import LOG_KERNEL_ETA, DiskFunction
 from .shear import ShearingMap
 
 BUILTIN_NAME = "counterexample"
@@ -77,12 +91,19 @@ def _deriv_log_abs_raw(z):
     return pref - np.imag(1.0 / (1.0 - z) ** 3)
 
 
+def _log_max_abs(t):
+    d = 1.0 - t
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log(t) + 1.0 / (d * d * d) + LOG_KERNEL_ETA
+
+
 def counterexample_disk_function() -> DiskFunction:
     return DiskFunction(
         eval_raw=_g_raw,
         deriv_raw=_deriv_raw,
         log_abs_raw=_log_abs_raw,
         deriv_log_abs_raw=_deriv_log_abs_raw,
+        log_max_abs=_log_max_abs,
         coefficients=None,
         label=BUILTIN_NAME,
     )

@@ -31,9 +31,14 @@ runs per sample.  A screen (_screen, which states its keep rule) first
 picks the samples that can reach the minimum, from bounds on the number
 the scan computes at each point, w or c per alpha, drawn from g's
 coefficients (_majorant) or from a closed form's log kernels
-(_log_bounds).  The scan evaluates that sub-plan (_subplan) on its one
-path, and reports what the full plan reports, byte for byte; an eq1 row
-that keeps no sample is +inf and calls no kernel.
+(_log_bounds).  The eq1 screen of a closed form with a radial bound
+log_max_abs runs in two stages: a coarse one (_candidates) bounds
+log|g(a z2)| for every alpha per circle and calls log_abs_raw once per
+point, and the log kernels then bound only the candidate points it keeps,
+with the sub-plan the exact bounds give on every point.  The scan
+evaluates that sub-plan (_subplan) on its one path, and reports what the
+full plan reports, byte for byte; an eq1 row that keeps no sample is +inf
+and calls no kernel.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
@@ -307,13 +312,19 @@ class _Bounds(NamedTuple):
     column: np.ndarray | slice
 
 
+def _node(modulus: np.ndarray) -> np.ndarray:
+    """Each point's node index j, from its computed modulus |z2|: the least
+    with t_j = j / _NODES >= |z2| (1 + 2^-48), which covers the rounding of
+    |z2| and of a*z2, so that |fl(a z2)| <= a t_j for every a <= 1."""
+    return np.ceil(modulus * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
+
+
 def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds | None:
     """Bounds from the coefficients at points of moduli |z2| = modulus,
     with lower 0 and one column per node, or None when a point lies within
     about 2^-48 of the unit circle and when sum_k k|a_k| exceeds
-    e^SCAN_LOG_LIMIT / 2.  A point's column is its node index j, the least
-    with t_j = j / _NODES >= |z2| (1 + 2^-48), which covers the rounding of
-    |z2| and of a*z2; the table ends at the largest node a point reads.
+    e^SCAN_LOG_LIMIT / 2.  A point's column is its node index (_node); the
+    table ends at the largest node a point reads.
     Row i holds, at each node, an upper bound on |q_i| as the scans compute
     it at every point of that node, for q_i = sum_k w_k a_k z2^k: w
     (weights w_k = k - 1) and c (weights 1 - a^(k-1)), each formed from
@@ -342,7 +353,7 @@ def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds 
     assume, and gives log|g| <= SCAN_LOG_LIMIT at every point, so no sample
     is refused.  eval_raw and deriv_raw must evaluate `coefficients` by
     Horner, as disk_function_from_series builds them."""
-    node = np.ceil(modulus * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
+    node = _node(modulus)
     if node.max() > _NODES:
         return None
     a = np.abs(np.asarray(series.coeffs, dtype=complex))
@@ -446,6 +457,59 @@ def _subplan(plan: _Samples, need) -> _Samples:
                     r1=plan.r1[keep], phi1=plan.phi1[keep])
 
 
+def _candidates(g: DiskFunction, pts, modulus, r1, a2sq, q, avals) -> np.ndarray | None:
+    """The coarse stage of the eq1 screen of a closed form: a mask over the
+    points that holds every point the exact stage can keep, or None
+    without log_max_abs, for the starlike scan, for a grid without an alpha
+    below 1 and when a point lies beyond LOG_KERNEL_RADIUS.  It takes one
+    kernel pass, x = log_abs_raw(z2), and bounds log|g(a z2)/a| for every
+    alpha < 1 at once by a table over the nodes of _node,
+
+        Ybar_j = max over a of fl(log_max_abs(t') - log a) + 2^-40,
+        t' = min(a t_j rounded up, LOG_KERNEL_RADIUS),
+
+    which bounds the scan's computed log_abs_raw(a z2) - log a at every
+    point of node j: |fl(a z2)| <= t', the subtraction rounds monotonically,
+    and 2^-40 nats cover the rounding of exp below.  With e = 2 eta and
+    s = 2^-998 / (least alpha), Umax = e^(x+e) + e^(Ybar+e) + s and
+    L = e^(x-e) - e^(Ybar+e) - s, at least 0, are at least and at most
+    what _log_bounds gives in every row alpha < 1.  A point is decided
+    where x and Ybar lie within SCAN_LOG_LIMIT; it is then neither refused
+    nor certified in any row.  B, the least over the decided points of
+    1/amax^2 - ((|z1| + L)^2 + |z2|^2), amax the largest alpha below 1, and
+    of 1 - max |z|^2 where the grid holds alpha = 1, is an attained upper
+    bound on the least computed value.  A point is a candidate when it is
+    undecided, when _lower(1/amax^2, (|z1| + Umax)^2 + |z2|^2), the least
+    of its rows' lower bounds, is at most B, or when the grid holds
+    alpha = 1 and 1 - |z|^2 <= B."""
+    below = [a for a in (avals or ()) if a < 1.0]
+    if g.log_max_abs is None or not below or not modulus.max() <= LOG_KERNEL_RADIUS:
+        return None
+    node = _node(modulus)
+    t = np.minimum(np.arange(node.max() + 1) / _NODES, LOG_KERNEL_RADIUS)
+    a = np.asarray(below)[:, None]
+    tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
+    logs = np.asarray([math.log(x) for x in below])[:, None]
+    ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - logs).max(axis=0) + 2.0**-40
+    x = np.asarray(g.log_abs_raw(pts), dtype=float)
+    y = ybar[node]
+    ex = np.exp(x + 2.0 * LOG_KERNEL_ETA)
+    ey = np.exp(y + 2.0 * LOG_KERNEL_ETA)
+    s = 2.0**-998 / min(below)
+    decided = (x <= SCAN_LOG_LIMIT) & (y <= SCAN_LOG_LIMIT)
+    low = np.maximum(ex * _SHRINK - ey - s, 0.0)
+    amax = max(below)
+    xmax = 1.0 / (amax * amax)
+    least = np.fmin.reduce(np.where(decided, xmax - ((r1 + low) ** 2 + a2sq), math.nan))
+    one = 1.0 in avals
+    if one:
+        least = min(least, 1.0 - q.max())
+    cand = ~decided | ~(_lower(xmax, (r1 + (ex + ey + s)) ** 2 + a2sq) > least)
+    if one:
+        cand |= ~(1.0 - q > least)
+    return cand
+
+
 def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
     """(samples, live): the sub-plan of the samples whose computed value
     can reach the minimum in some row (the starlike scan's one, avals None,
@@ -471,21 +535,40 @@ def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
     such samples were refused as on the full plan.  So it reports what the
     full plan reports, byte for byte.  A row is first tested as a whole, at
     y(max |z|, 0, max U), which bounds y at every point.  At alpha = 1,
-    c = 0 and x - y(0) is exact."""
+    c = 0 and x - y(0) is exact.
+
+    Two stages for the eq1 rows of a closed form with log_max_abs.  The
+    coarse stage (_candidates) costs one kernel pass and keeps candidate
+    points; the rule above, with _log_bounds, then runs on those alone.
+    The sub-plan and live flags are those of the rule on every point: the
+    coarse U is at least and the coarse L at most the exact ones, so every
+    sample the rule keeps on every point is at a candidate, the point that
+    attains the least above among them, and the least over the candidates
+    is the least over every point.  A point that is not a candidate is
+    refused in no row, so the first usable point is the earlier of the
+    first one z2 != 0 that is not a candidate and the first usable
+    candidate."""
     alphas = (None,) if avals is None else avals
     depends = [a != 1.0 for a in alphas]
     if trace_path is not None:
         return plan, depends
     a2 = np.abs(plan.points)
-    b = (_majorant(f.g.coefficients, a2, avals) if f.g.coefficients is not None
-         else _log_bounds(f.g, plan.points, a2, avals))
-    if b is None:
-        return plan, depends
-    upper, lower, column = b
     r1 = np.empty(plan.points.size)
     r1[plan.src] = plan.r1
     a2sq = a2 * a2
     q = r1 * r1 + a2sq
+    sel = slice(None)
+    if f.g.coefficients is not None:
+        b = _majorant(f.g.coefficients, a2, avals)
+    else:
+        cand = _candidates(f.g, plan.points, a2, r1, a2sq, q, avals)
+        if cand is not None:
+            sel = np.flatnonzero(cand)
+            a2, r1, a2sq, q = a2[sel], r1[sel], a2sq[sel], q[sel]
+        b = _log_bounds(f.g, plan.points[sel], a2, avals)
+    if b is None:
+        return plan, depends
+    upper, lower, column = b
     qmax = q.max()
     # per row x and its least, then y(0) and its largest
     xs, y0, y0max = (([(q, q.min())], 0.0, 0.0) if avals is None
@@ -502,7 +585,7 @@ def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
     for (x, xmin), low, nz in zip(xs, lower, nonzero):
         least = min(least, np.fmin.reduce(x - y(r1, a2sq, low[column])) if nz else xmin - y0max)
     zmax = math.sqrt(qmax) * (1.0 + _ROUND)  # at least |z| at every point
-    need = np.zeros(q.size, dtype=bool)
+    keep = np.zeros(q.size, dtype=bool)
     live = [False] * len(alphas)
     for i, (a, (x, xmin), umax) in enumerate(zip(alphas, xs, upper.max(axis=1))):
         if _lower(xmin, y(zmax, 0.0, umax)) > least:
@@ -512,10 +595,13 @@ def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
         else:
             row = ~(_lower(x, y(r1, a2sq, upper[i, column])) > least)
             live[i] = bool(row.any())
-        need |= row
+        keep |= row
+    need = np.zeros(plan.points.size, dtype=bool)
+    need[sel] = keep
     if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
-        usable = ~np.isnan(lower[depends]).all(axis=0)
-        need[np.flatnonzero(usable[column] & (plan.points != 0.0))[:1]] = True
+        usable = np.ones(plan.points.size, dtype=bool)
+        usable[sel] = ~np.isnan(lower[depends]).all(axis=0)[column]
+        need[np.flatnonzero(usable & (plan.points != 0.0))[:1]] = True
     return _subplan(plan, need), live
 
 

@@ -284,16 +284,28 @@ class DiskFunction:
     deriv_log_abs_raw and deriv_raw.  Beyond that radius, and where the log
     exceeds the limit, the kernels promise nothing.  A closed form that
     cannot keep the promise must not supply the log kernels.
+
+    A closed form that also supplies log_max_abs, a radial bound on
+    log_abs_raw, promises that it is nondecreasing in t and that
+
+        log_abs_raw(z) <= log_max_abs(t)   for every |z| <= t <= LOG_KERNEL_RADIUS,
+
+    for the computed values of both, which lets the eq1 scan's screen bound
+    log|g(a z2)| per circle instead of evaluating it at every point.  The
+    bound is stated against log_abs_raw, so it needs that kernel.
     """
 
     eval_raw: Callable = field(repr=False)
     deriv_raw: Callable = field(repr=False)
     log_abs_raw: Callable | None = field(default=None, repr=False)
     deriv_log_abs_raw: Callable | None = field(default=None, repr=False)
+    log_max_abs: Callable | None = field(default=None, repr=False)
     coefficients: CoefficientSeries | None = None
     label: str = ""
 
     def __post_init__(self):
+        if self.log_max_abs is not None and self.log_abs_raw is None:
+            raise ConfigError("log_max_abs bounds log_abs_raw, which this disk function lacks")
         g0 = complex(self.eval_raw(0.0j))
         dg0 = complex(self.deriv_raw(0.0j))
         if not (abs(g0) <= 1e-12 and abs(dg0) <= 1e-12):  # NaN fails too

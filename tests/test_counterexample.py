@@ -234,3 +234,36 @@ def test_log_kernels_keep_their_promise(seed):
                 assert math.exp(log[j] - eta) - 2.0**-1000 <= abs(value[j])
                 assert abs(value[j]) <= math.exp(log[j] + eta) + 2.0**-1000
     assert checked >= z.size
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_radial_log_bound_keeps_its_promise(seed):
+    """log_max_abs(t) = 2 log t + (1-t)^-3 + eta keeps the DiskFunction
+    promise: log_abs_raw(z) <= log_max_abs(|z|) at points of
+    |z| <= LOG_KERNEL_RADIUS (uniform, on the rim next to z = 1, down to
+    |z| = 1e-300, and on the ray arg(1-z) = pi/6, where -Im(1/(1-z)^3) =
+    |1-z|^-3 is largest), and log_max_abs is nondecreasing.  At 50 digits
+    (mpmath) the exact log|g| stays below the exact 2 log t + (1-t)^-3, and
+    the computed bound and log_abs_raw each lie within 2^-26 of their
+    exact values, so eta covers both roundings."""
+    mpmath = pytest.importorskip("mpmath")
+    g = counterexample_disk_function()
+    rng = np.random.default_rng(100 + seed)
+    rho = (1.0 - LOG_KERNEL_RADIUS) * 10.0 ** rng.uniform(0.0, 2.0, 200)
+    ray = 1.0 - rho * np.exp(1j * np.pi / 6.0)
+    z = np.concatenate([_contract_points(rng, 300), ray[np.abs(ray) <= LOG_KERNEL_RADIUS]])
+    t = np.abs(z)
+    with np.errstate(all="ignore"):
+        logs, bounds = g.log_abs_raw(z), g.log_max_abs(t)
+    assert (logs <= bounds).all()
+    ts = np.sort(np.concatenate([t, np.nextafter(t, 0.0), [0.0, LOG_KERNEL_RADIUS]]))
+    with np.errstate(divide="ignore"):
+        assert (np.diff(g.log_max_abs(ts)) >= 0.0).all()
+    with mpmath.workdps(50):
+        for zj, tj, log, bound in zip(z, t, logs, bounds):
+            w = mpmath.mpc(zj.real, zj.imag)
+            exact = 2 * mpmath.log(abs(w)) - (1 / (1 - w) ** 3).imag
+            exact_bound = 2 * mpmath.log(tj) + 1 / (1 - mpmath.mpf(tj)) ** 3
+            assert exact <= exact_bound
+            assert abs(log - exact) <= 2.0**-26
+            assert abs(bound - LOG_KERNEL_ETA - exact_bound) <= 2.0**-26

@@ -207,6 +207,16 @@ def test_normalization_guard():
         DiskFunction(lambda z: 0.0 * z, lambda z: np.nan * z)
 
 
+def test_radial_log_bound_needs_the_log_kernel():
+    """log_max_abs bounds log_abs_raw, so a disk function without that
+    kernel refuses it."""
+    with pytest.raises(ConfigError, match="log_abs_raw"):
+        DiskFunction(lambda z: z * z, lambda z: 2.0 * z, log_max_abs=lambda t: 2.0 * np.log(t))
+    g = DiskFunction(lambda z: z * z, lambda z: 2.0 * z, lambda z: 2.0 * np.log(np.abs(z)),
+                     log_max_abs=lambda t: 2.0 * np.log(t))
+    assert g.log_max_abs(0.5) == 2.0 * np.log(0.5)
+
+
 def test_overflow_refusal():
     huge = DiskFunction(
         eval_raw=lambda z: 0.0 * z,
