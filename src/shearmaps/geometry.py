@@ -27,18 +27,13 @@ seed and is cached, read-only.  The scans run on one thread; their
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
 alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
-runs per sample.  A screen (_screen, which states its keep rule) first
-picks the samples that can reach the minimum, from bounds on the number
-the scan computes at each point, w or c per alpha, drawn from g's
-coefficients (_majorant) or from a closed form's log kernels
-(_log_bounds).  The eq1 screen of a closed form with a radial bound
-log_max_abs runs in two stages: a coarse one (_candidates) bounds
-log|g(a z2)| for every alpha per circle and calls log_abs_raw once per
-point, and the log kernels then bound only the candidate points it keeps,
-with the sub-plan the exact bounds give on every point.  The scan
-evaluates that sub-plan (_subplan) on its one path, and reports what the
-full plan reports, byte for byte; an eq1 row that keeps no sample is +inf
-and calls no kernel.
+runs per sample.  A screen (_screen) first picks the samples that can
+reach the minimum: one keep rule (_keep) applied to bounds on the number
+the scan computes at each point, w or c per alpha, from the sources that
+derive them (_majorant, _log_bounds, and _radial_bounds for a coarse first
+stage).  The scan evaluates that sub-plan (_subplan) on its one path, and
+reports what the full plan reports, byte for byte; an eq1 row that keeps
+no sample is +inf and calls no kernel.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
@@ -299,13 +294,14 @@ def _build_samples(cfg: SamplerConfig) -> _Samples:
 
 
 class _Bounds(NamedTuple):
-    """Bounds L <= |q| <= U on the number q a scan computes at each point:
-    q = w = g - z2 g' (the starlike scan, one row) or q = c = g(z2) -
-    g(a z2)/a (eq1, one row per alpha).  upper[i, column] and
-    lower[i, column] hold row i at every point (column maps points to the
-    columns: nodes, or slice(None) for one column per point).  A refused
-    sample has upper inf and lower NaN, a certified one (eq1) upper and
-    lower inf."""
+    """Bounds L <= |q| <= U on the number q a scan computes at each point,
+    one row per row of the scan whose values depend on g: q = w = g - z2 g'
+    (the starlike scan's one row) or q = c = g(z2) - g(a z2)/a (eq1, one
+    row per alpha below 1; at alpha = 1, c = 0 and the rule needs no
+    bound).  upper[i, column] and lower[i, column] hold row i at every
+    point (column maps points to the columns: nodes, or slice(None) for one
+    column per point).  A refused sample has upper inf and lower NaN, a
+    certified one (eq1) upper and lower inf."""
 
     upper: np.ndarray
     lower: np.ndarray
@@ -319,7 +315,7 @@ def _node(modulus: np.ndarray) -> np.ndarray:
     return np.ceil(modulus * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
 
 
-def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds | None:
+def _majorant(series: CoefficientSeries, modulus: np.ndarray, below) -> _Bounds | None:
     """Bounds from the coefficients at points of moduli |z2| = modulus,
     with lower 0 and one column per node, or None when a point lies within
     about 2^-48 of the unit circle and when sum_k k|a_k| exceeds
@@ -327,8 +323,8 @@ def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds 
     table ends at the largest node a point reads.
     Row i holds, at each node, an upper bound on |q_i| as the scans compute
     it at every point of that node, for q_i = sum_k w_k a_k z2^k: w
-    (weights w_k = k - 1) and c (weights 1 - a^(k-1)), each formed from
-    eval_raw and deriv_raw.
+    (below None, weights w_k = k - 1) and c (weights 1 - a^(k-1), one row
+    per alpha a in below), each formed from eval_raw and deriv_raw.
 
     With T_w(t) = sum_k w_k |a_k| t^k, u = 2^-53 and n stored coefficients,
     each bound is T_w(t_j) + 64 u (n + 8) T_k(t_j) + 2^-998 T_k(1) + 2^-900.
@@ -358,7 +354,7 @@ def _majorant(series: CoefficientSeries, modulus: np.ndarray, avals) -> _Bounds 
         return None
     a = np.abs(np.asarray(series.coeffs, dtype=complex))
     k = np.arange(2.0, a.size + 2.0)
-    weights = (k - 1.0)[None] if avals is None else 1.0 - np.asarray(avals)[:, None] ** (k - 1.0)
+    weights = (k - 1.0)[None] if below is None else 1.0 - np.asarray(below)[:, None] ** (k - 1.0)
     terms = np.vstack([weights, k]) * a
     t = np.arange(_NODES + 1) / _NODES
     table = np.zeros((terms.shape[0], t.size))
@@ -390,16 +386,33 @@ def _eq1_status(la2, laa):
     return ok, certified
 
 
-def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, avals) -> _Bounds | None:
-    """Bounds from a closed form's log kernels at pts, of moduli modulus,
-    one column per point, or None: without log_abs_raw (for the starlike scan, also
-    deriv_log_abs_raw), and when a point lies beyond LOG_KERNEL_RADIUS, where
-    the kernels promise nothing.  The scans form q = X - Y from two computed
-    terms, X = g and Y = z2 g' for w, X = g(z2) and Y = g(a z2)/a for c, and
-    the kernels give x and y with |X| and |Y| within LOG_KERNEL_ETA nats of
-    e^x and e^y, up to 2^-1000 absolute (see DiskFunction), wherever x and y
+def _two_term(ex, ey, ey_low, s, ok, certified=False):
+    """(U, L) for a computed |q| = |X - Y|, given ex = e^(x + 2 eta) from a
+    log kernel's x for |X| and bounds ey >= |Y| >= ey_low:
+
+        U = ex + ey + s,   L = max(ex e^(-4 eta) - ey, ey_low - ex) - s,  at least 0.
+
+    A sample is refused (U inf, L NaN) where not ok, and certified (U and L
+    inf) where certified.  _log_bounds derives the two etas and s."""
+    upper = ex + ey + s
+    lower = np.maximum(np.maximum(ex * _SHRINK - ey, ey_low - ex) - s, 0.0)
+    if not ok.all():
+        upper[~ok] = math.inf
+        lower = np.where(ok, lower, np.where(certified, math.inf, math.nan))
+    return upper, lower
+
+
+def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | None:
+    """Bounds from a closed form's log kernels at pts, of moduli modulus at
+    most LOG_KERNEL_RADIUS, one column per point, or None without
+    log_abs_raw (for the starlike scan, below None, also
+    deriv_log_abs_raw).  The scans form q = X - Y from two computed terms,
+    X = g and Y = z2 g' for w, X = g(z2) and Y = g(a z2)/a for c, and the
+    kernels give x and y with |X| and |Y| within LOG_KERNEL_ETA nats of e^x
+    and e^y, up to 2^-1000 absolute (see DiskFunction), wherever x and y
     are at most SCAN_LOG_LIMIT; elsewhere the scans refuse or certify the
     sample (_eq1_status), and so does the screen.  Then, with e = 2 eta,
+    _two_term gives
 
         |q| <= e^(x+e) + e^(y+e) + s,
         |q| >= max(e^(x-e) - e^(y+e), e^(y-e) - e^(x+e)) - s,  and >= 0,
@@ -410,34 +423,56 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, avals) -> _Bounds | N
     of the bounds themselves, a few units of 2^-53 relative each, and in
     the exponents at most 2^-40 nats for the logs that give a value above
     the subnormal range.  s covers the kernels' 2^-1000 (divided by a for
-    g(a z2)/a) and the few roundings in the subnormal range.  The row
-    alpha = 1 has c = 0 exactly."""
-    if (g.log_abs_raw is None or (avals is None and g.deriv_log_abs_raw is None)
-            or not modulus.max() <= LOG_KERNEL_RADIUS):
+    g(a z2)/a) and the few roundings in the subnormal range."""
+    if g.log_abs_raw is None or (below is None and g.deriv_log_abs_raw is None):
         return None
-    upper = np.zeros((1 if avals is None else len(avals), pts.size))
-    lower = np.zeros(upper.shape)
+    upper = np.empty((1 if below is None else len(below), pts.size))
+    lower = np.empty(upper.shape)
     la = np.asarray(g.log_abs_raw(pts), dtype=float)
     ex = np.exp(la + 2.0 * LOG_KERNEL_ETA)
-    ex_low = ex * _SHRINK
-
-    def fill(i, ey, s, ok, certified):
-        upper[i] = ex + ey + s
-        lower[i] = np.maximum(ex_low - ey, ey * _SHRINK - ex) - s
-        if not ok.all():
-            upper[i, ~ok] = math.inf
-            lower[i] = np.where(ok, lower[i], np.where(certified, math.inf, math.nan))
-
-    if avals is None:
+    if below is None:
         lda = np.asarray(g.deriv_log_abs_raw(pts), dtype=float)
-        fill(0, modulus * np.exp(lda + 2.0 * LOG_KERNEL_ETA), 2.0**-998,
-             (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT), False)
-    else:
-        for i, a in enumerate(avals):
-            if a < 1.0:
-                laa = np.asarray(g.log_abs_raw(a * pts), dtype=float) - math.log(a)
-                fill(i, np.exp(laa + 2.0 * LOG_KERNEL_ETA), 2.0**-998 / a, *_eq1_status(la, laa))
-    return _Bounds(upper, np.maximum(lower, 0.0, out=lower), slice(None))
+        ey = modulus * np.exp(lda + 2.0 * LOG_KERNEL_ETA)
+        ok = (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT)
+        upper[0], lower[0] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998, ok)
+    for i, a in enumerate(below or ()):
+        laa = np.asarray(g.log_abs_raw(a * pts), dtype=float) - math.log(a)
+        ey = np.exp(laa + 2.0 * LOG_KERNEL_ETA)
+        upper[i], lower[i] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998 / a, *_eq1_status(la, laa))
+    return _Bounds(upper, lower, slice(None))
+
+
+def _radial_bounds(g: DiskFunction, pts, modulus, below) -> _Bounds | None:
+    """Coarse bounds, one row, for the eq1 rows of the alphas in below (all
+    < 1) of a closed form, or None without log_max_abs: at every point (of
+    modulus at most LOG_KERNEL_RADIUS), U at least and L at most what
+    _log_bounds gives in each of those rows.  One kernel pass gives
+    x = log_abs_raw(z2), and a table over the nodes of _node bounds
+    log|g(a z2)/a| for every alpha at once,
+
+        Ybar_j = max over a of fl(log_max_abs(t') - log a) + 2^-40,
+        t' = min(a t_j rounded up, LOG_KERNEL_RADIUS),
+
+    above the scan's computed log_abs_raw(a z2) - log a at every point of
+    node j: |fl(a z2)| <= t', the subtraction rounds monotonically, and
+    2^-40 nats cover the rounding of exp.  _two_term takes Ybar for y, no
+    lower bound on |Y|, and s = 2^-998 / (least alpha).  A point is refused
+    where x or Ybar exceeds SCAN_LOG_LIMIT, so wherever _log_bounds refuses
+    or certifies it in some row."""
+    if g.log_max_abs is None:
+        return None
+    node = _node(modulus)
+    t = np.minimum(np.arange(node.max() + 1) / _NODES, LOG_KERNEL_RADIUS)
+    a = np.asarray(below)[:, None]
+    tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
+    logs = np.asarray([math.log(x) for x in below])[:, None]
+    ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - logs).max(axis=0) + 2.0**-40
+    x = np.asarray(g.log_abs_raw(pts), dtype=float)
+    ok = (x <= SCAN_LOG_LIMIT) & (ybar <= SCAN_LOG_LIMIT)[node]
+    upper, lower = _two_term(np.exp(x + 2.0 * LOG_KERNEL_ETA),
+                             np.exp(ybar + 2.0 * LOG_KERNEL_ETA)[node], 0.0,
+                             2.0**-998 / min(below), ok)
+    return _Bounds(upper[None], lower[None], slice(None))
 
 
 def _lower(x, y):
@@ -446,6 +481,63 @@ def _lower(x, y):
     _ROUND covers the relative rounding of the few operations a sample
     takes (and of this bound), 2^-1000 their errors in the subnormal range."""
     return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
+
+
+def _keep(b: _Bounds, below, one: bool, r1, modulus, pts):
+    """(keep, live): the keep rule on the points pts that b bounds, of
+    moduli modulus and with |z1| = r1 at each, for the rows of b: the
+    starlike scan's one (below None) or the eq1 rows of the alphas in
+    below, all < 1, with the row alpha = 1 too where one.  keep is a mask
+    over the points, live one flag per row of b: whether it keeps a point.
+
+    At a realigned sample a row's computed value is x - y(|z1|, |z2|^2, |q|),
+    with x, y >= 0 and y increasing in |z1| and |q|: x = |z|^2 and
+    y = |z1| |w| (starlike), x = 1/a^2 and y = (|z1| + |c|)^2 + |z2|^2
+    (eq1); a z1 as given makes it no smaller.  With L <= |q| <= U
+    (_Bounds), each sample's computed value is at least _lower(x, y(U)),
+    and a realigned one's at most the computed x - y(L), since rounding is
+    monotone.  All samples at a point share |z1| (one structured sample, or
+    the two copies _add_twice makes) and every point has a realigned
+    sample, so the least of those upper bounds over the rows and the
+    samples not refused is attained, also when it overflows to -inf; a
+    certified sample (-inf) makes it -inf.  The rule keeps the points where
+    some row's lower bound is at most that least, so every possible minimum
+    and tie; every refused sample; and, when a row refuses one, the first
+    point z2 != 0 that some row does not refuse, so that _report decides
+    whether every sample whose value depends on g was refused as on all
+    the points.  A row is first tested as a whole, at y(max |z|, 0, max U),
+    which bounds y at every point.  At alpha = 1, c = 0 and x - y(0) is
+    exact."""
+    upper, lower, column = b
+    a2sq = modulus * modulus
+    q = r1 * r1 + a2sq
+    qmax = q.max()
+    # per row x and its least, then y(0)'s largest
+    xs, y0max = (([(q, q.min())], 0.0) if below is None
+                 else ([(1.0 / (a * a),) * 2 for a in below], qmax))
+
+    def y(r, s, m):
+        return r * m if below is None else (r + m) ** 2 + s
+
+    # where L = 0 at every point, x or y(0) is the same at every point, so
+    # x - y(0) is least where x is least and y(0) largest; min keeps the
+    # least against a NaN (refused)
+    nonzero = lower.any(axis=1).tolist()
+    least = 1.0 - qmax if one else math.inf  # alpha = 1: 1 - |z|^2, exact
+    for (x, xmin), low, nz in zip(xs, lower, nonzero):
+        least = min(least, np.fmin.reduce(x - y(r1, a2sq, low[column])) if nz else xmin - y0max)
+    zmax = math.sqrt(qmax) * (1.0 + _ROUND)  # at least |z| at every point
+    keep = ~(1.0 - q > least) if one else np.zeros(q.size, dtype=bool)
+    live = [False] * len(xs)
+    for i, ((x, xmin), umax) in enumerate(zip(xs, upper.max(axis=1))):
+        if not _lower(xmin, y(zmax, 0.0, umax)) > least:
+            row = ~(_lower(x, y(r1, a2sq, upper[i, column])) > least)
+            live[i] = bool(row.any())
+            keep |= row
+    if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
+        usable = ~np.isnan(lower).all(axis=0)[column]
+        keep[np.flatnonzero(usable & (pts != 0.0))[:1]] = True
+    return keep, live
 
 
 def _subplan(plan: _Samples, need) -> _Samples:
@@ -457,152 +549,51 @@ def _subplan(plan: _Samples, need) -> _Samples:
                     r1=plan.r1[keep], phi1=plan.phi1[keep])
 
 
-def _candidates(g: DiskFunction, pts, modulus, r1, a2sq, q, avals) -> np.ndarray | None:
-    """The coarse stage of the eq1 screen of a closed form: a mask over the
-    points that holds every point the exact stage can keep, or None
-    without log_max_abs, for the starlike scan, for a grid without an alpha
-    below 1 and when a point lies beyond LOG_KERNEL_RADIUS.  It takes one
-    kernel pass, x = log_abs_raw(z2), and bounds log|g(a z2)/a| for every
-    alpha < 1 at once by a table over the nodes of _node,
-
-        Ybar_j = max over a of fl(log_max_abs(t') - log a) + 2^-40,
-        t' = min(a t_j rounded up, LOG_KERNEL_RADIUS),
-
-    which bounds the scan's computed log_abs_raw(a z2) - log a at every
-    point of node j: |fl(a z2)| <= t', the subtraction rounds monotonically,
-    and 2^-40 nats cover the rounding of exp below.  With e = 2 eta and
-    s = 2^-998 / (least alpha), Umax = e^(x+e) + e^(Ybar+e) + s and
-    L = e^(x-e) - e^(Ybar+e) - s, at least 0, are at least and at most
-    what _log_bounds gives in every row alpha < 1.  A point is decided
-    where x and Ybar lie within SCAN_LOG_LIMIT; it is then neither refused
-    nor certified in any row.  B, the least over the decided points of
-    1/amax^2 - ((|z1| + L)^2 + |z2|^2), amax the largest alpha below 1, and
-    of 1 - max |z|^2 where the grid holds alpha = 1, is an attained upper
-    bound on the least computed value.  A point is a candidate when it is
-    undecided, when _lower(1/amax^2, (|z1| + Umax)^2 + |z2|^2), the least
-    of its rows' lower bounds, is at most B, or when the grid holds
-    alpha = 1 and 1 - |z|^2 <= B."""
-    below = [a for a in (avals or ()) if a < 1.0]
-    if g.log_max_abs is None or not below or not modulus.max() <= LOG_KERNEL_RADIUS:
-        return None
-    node = _node(modulus)
-    t = np.minimum(np.arange(node.max() + 1) / _NODES, LOG_KERNEL_RADIUS)
-    a = np.asarray(below)[:, None]
-    tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
-    logs = np.asarray([math.log(x) for x in below])[:, None]
-    ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - logs).max(axis=0) + 2.0**-40
-    x = np.asarray(g.log_abs_raw(pts), dtype=float)
-    y = ybar[node]
-    ex = np.exp(x + 2.0 * LOG_KERNEL_ETA)
-    ey = np.exp(y + 2.0 * LOG_KERNEL_ETA)
-    s = 2.0**-998 / min(below)
-    decided = (x <= SCAN_LOG_LIMIT) & (y <= SCAN_LOG_LIMIT)
-    low = np.maximum(ex * _SHRINK - ey - s, 0.0)
-    amax = max(below)
-    xmax = 1.0 / (amax * amax)
-    least = np.fmin.reduce(np.where(decided, xmax - ((r1 + low) ** 2 + a2sq), math.nan))
-    one = 1.0 in avals
-    if one:
-        least = min(least, 1.0 - q.max())
-    cand = ~decided | ~(_lower(xmax, (r1 + (ex + ey + s)) ** 2 + a2sq) > least)
-    if one:
-        cand |= ~(1.0 - q > least)
-    return cand
-
-
 def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
     """(samples, live): the sub-plan of the samples whose computed value
     can reach the minimum in some row (the starlike scan's one, avals None,
-    or eq1's, one per alpha), and per row whether it keeps a sample whose
-    value depends on g.  A written trace, and a map that neither _majorant
-    nor _log_bounds covers, get plan itself, every row live but alpha = 1.
+    or eq1's, one per alpha), in plan order, and per row whether it keeps a
+    sample whose value depends on g.  _keep decides on bounds from
+    _majorant for a map with coefficients, and from _log_bounds for a
+    closed form whose points lie within LOG_KERNEL_RADIUS; a written trace,
+    and a map that neither covers, get plan itself, every row live but
+    alpha = 1.
 
-    The keep rule.  At a realigned sample a row's computed value is
-    x - y(|z1|, |z2|^2, |q|), with x, y >= 0 and y increasing in |z1| and
-    |q|: x = |z|^2 and y = |z1| |w| (starlike), x = 1/a^2 and
-    y = (|z1| + |c|)^2 + |z2|^2 (eq1); a z1 as given makes it no smaller.
-    With L <= |q| <= U (_Bounds), each sample's computed value is at least
-    _lower(x, y(U)), and a realigned one's at most the computed x - y(L),
-    since rounding is monotone.  All samples at a point share |z1| (one
-    structured sample, or the two copies _add_twice makes) and every point
-    has a realigned sample, so the least of those upper bounds over the
-    rows and the samples not refused is attained, also when it overflows to
-    -inf; a certified sample (-inf) makes it -inf.  The sub-plan keeps, in
-    plan order, the samples whose lower bound in some row is at most that
-    least, so every possible minimum and tie; every refused sample; and,
-    when a row refuses one, the first point z2 != 0 that some row whose
-    values depend on g does not refuse, so that _report decides whether all
-    such samples were refused as on the full plan.  So it reports what the
-    full plan reports, byte for byte.  A row is first tested as a whole, at
-    y(max |z|, 0, max U), which bounds y at every point.  At alpha = 1,
-    c = 0 and x - y(0) is exact.
-
-    Two stages for the eq1 rows of a closed form with log_max_abs.  The
-    coarse stage (_candidates) costs one kernel pass and keeps candidate
-    points; the rule above, with _log_bounds, then runs on those alone.
-    The sub-plan and live flags are those of the rule on every point: the
-    coarse U is at least and the coarse L at most the exact ones, so every
-    sample the rule keeps on every point is at a candidate, the point that
-    attains the least above among them, and the least over the candidates
-    is the least over every point.  A point that is not a candidate is
-    refused in no row, so the first usable point is the earlier of the
-    first one z2 != 0 that is not a candidate and the first usable
-    candidate."""
+    For a closed form with log_max_abs, _keep first runs on the coarse row
+    of _radial_bounds, at the largest alpha below 1 (where 1/a^2 is least),
+    over every point, and then with _log_bounds on the candidate points it
+    keeps; the result is that of the second stage on every point.  The
+    coarse lower bounds lie below, and the coarse least above, the exact
+    ones, so every point the second stage keeps is a candidate, the one
+    that attains the least among them.  A point that some row refuses or
+    certifies is refused in the coarse row, so the points z2 != 0 up to the
+    first one that some row does not refuse are candidates, the last as the
+    coarse row's first usable point or as refused there."""
     alphas = (None,) if avals is None else avals
     depends = [a != 1.0 for a in alphas]
     if trace_path is not None:
         return plan, depends
-    a2 = np.abs(plan.points)
-    r1 = np.empty(plan.points.size)
+    below = None if avals is None else [a for a in avals if a < 1.0]
+    one = 1.0 in alphas
+    pts, a2 = plan.points, np.abs(plan.points)
+    r1 = np.empty(pts.size)
     r1[plan.src] = plan.r1
-    a2sq = a2 * a2
-    q = r1 * r1 + a2sq
-    sel = slice(None)
+    sel, b = slice(None), None
     if f.g.coefficients is not None:
-        b = _majorant(f.g.coefficients, a2, avals)
-    else:
-        cand = _candidates(f.g, plan.points, a2, r1, a2sq, q, avals)
-        if cand is not None:
-            sel = np.flatnonzero(cand)
-            a2, r1, a2sq, q = a2[sel], r1[sel], a2sq[sel], q[sel]
-        b = _log_bounds(f.g, plan.points[sel], a2, avals)
+        b = _majorant(f.g.coefficients, a2, below)
+    elif a2.max() <= LOG_KERNEL_RADIUS:
+        coarse = None if below is None else _radial_bounds(f.g, pts, a2, below)
+        if coarse is not None:
+            sel = _keep(coarse, [max(below)], one, r1, a2, pts)[0]
+            pts, a2, r1 = pts[sel], a2[sel], r1[sel]
+        b = _log_bounds(f.g, pts, a2, below)
     if b is None:
         return plan, depends
-    upper, lower, column = b
-    qmax = q.max()
-    # per row x and its least, then y(0) and its largest
-    xs, y0, y0max = (([(q, q.min())], 0.0, 0.0) if avals is None
-                     else ([(1.0 / (a * a),) * 2 for a in avals], q, qmax))
-
-    def y(r, s, m):
-        return r * m if avals is None else (r + m) ** 2 + s
-
-    # where L = 0 at every point, x or y(0) is the same at every point, so
-    # x - y(0) is least where x is least and y(0) largest; min keeps the
-    # least against a NaN (refused)
-    nonzero = lower.any(axis=1).tolist()
-    least = math.inf
-    for (x, xmin), low, nz in zip(xs, lower, nonzero):
-        least = min(least, np.fmin.reduce(x - y(r1, a2sq, low[column])) if nz else xmin - y0max)
-    zmax = math.sqrt(qmax) * (1.0 + _ROUND)  # at least |z| at every point
-    keep = np.zeros(q.size, dtype=bool)
-    live = [False] * len(alphas)
-    for i, (a, (x, xmin), umax) in enumerate(zip(alphas, xs, upper.max(axis=1))):
-        if _lower(xmin, y(zmax, 0.0, umax)) > least:
-            continue
-        if a == 1.0:
-            row = ~(x - y0 > least)
-        else:
-            row = ~(_lower(x, y(r1, a2sq, upper[i, column])) > least)
-            live[i] = bool(row.any())
-        keep |= row
+    keep, live = _keep(b, below, one, r1, a2, pts)
     need = np.zeros(plan.points.size, dtype=bool)
     need[sel] = keep
-    if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
-        usable = np.ones(plan.points.size, dtype=bool)
-        usable[sel] = ~np.isnan(lower[depends]).all(axis=0)[column]
-        need[np.flatnonzero(usable & (plan.points != 0.0))[:1]] = True
-    return _subplan(plan, need), live
+    live = iter(live)
+    return _subplan(plan, need), [d and next(live) for d in depends]
 
 
 # ---------------------------------------------------------------------------

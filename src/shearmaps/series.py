@@ -35,9 +35,6 @@ OVERFLOW_LOG_THRESHOLD = 700.0
 
 _COEFF_START = 2
 
-# Points per block of the Horner kernels (see _blockwise).
-_BLOCK = 8192
-
 # Most points a grid, sampling plan or set of circles may hold.  2^50
 # complex doubles fill 2^54 bytes (16 PiB), more than any host has, and
 # numpy's largest array (2^63 bytes) is 2^9 times larger: past it numpy
@@ -165,61 +162,41 @@ def _horner_loop(terms, z):
     return p
 
 
-def _blockwise(kernel, z):
-    """kernel(z); an array of more than _BLOCK points goes block by block
-    into one result array.  Horner passes over its array once per
-    coefficient, and a block stays in cache across the passes.  The kernels
-    are elementwise, so no bit depends on the blocks."""
-    if not isinstance(z, np.ndarray) or z.size <= _BLOCK:
-        return kernel(z)
-    flat = z.ravel()
-    out = None
-    for start in range(0, flat.size, _BLOCK):
-        p = kernel(flat[start:start + _BLOCK])
-        if out is None:  # the first block fixes the result dtype
-            out = np.empty(flat.size, dtype=p.dtype)
-        out[start:start + p.size] = p
-    return out.reshape(z.shape)
-
-
 def _horner(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} a_k z^k  ==  z^2 * (a_2 + z*(a_3 + ...)), scalar or ndarray
-    terms = coeffs[::-1]
-    return _blockwise(lambda b: _horner_loop(terms, b) * b * b, z)
+    return _horner_loop(coeffs[::-1], z) * z * z
 
 
 def _horner_deriv(coeffs: tuple[complex, ...], z):
     # sum_{k=2..M} k a_k z^(k-1)  ==  z * (2 a_2 + z*(3 a_3 + ...))
     terms = [k * a for k, a in enumerate(coeffs, start=_COEFF_START)][::-1]
-
-    def kernel(b):
-        p = _horner_loop(terms, b) * b
-        # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
-        # would make it NaN.  Only non-finite results at z = 0 are replaced.
-        if isinstance(p, np.ndarray):
-            p[(b == 0) & ~np.isfinite(p)] = 0
-        elif b == 0 and not cmath.isfinite(p):
-            p = 0j
-        return p
-
-    return _blockwise(kernel, z)
+    p = _horner_loop(terms, z) * z
+    # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
+    # would make it NaN.  Only non-finite results at z = 0 are replaced.
+    if isinstance(p, np.ndarray):
+        p[(z == 0) & ~np.isfinite(p)] = 0
+    elif z == 0 and not cmath.isfinite(p):
+        p = 0j
+    return p
 
 
 def circle_values(coeffs, radii, n: int) -> np.ndarray:
     """p(r exp(2 pi i j/n)) for p(z) = sum_e coeffs[e] z^e, j = 0..n-1, one
     row per radius r: one inverse DFT per circle.  With w = exp(2 pi i/n),
     p(r w^j) = sum_m x[m] w^(jm) for x[m] = sum_{e = m mod n} coeffs[e] r^e,
-    so a degree at or above n folds into n slots and stays exact.  numpy.fft
-    is imported on the first call, so importing the package does not load it."""
+    so a degree at or above n folds into n slots and stays exact.  Below n
+    the transform pads each row itself, so no zero-padded copy of the
+    (radii x n) table is made.  numpy.fft is imported on the first call, so
+    importing the package does not load it."""
     from numpy import fft
 
     c = np.asarray(coeffs, dtype=complex)
     r = np.asarray(radii, dtype=float)
-    x = np.zeros((r.size, max(1, -(-c.size // n)) * n), dtype=complex)
-    x[:, :c.size] = c * r[:, None] ** np.arange(c.size)
-    if x.shape[1] > n:
+    x = c * r[:, None] ** np.arange(c.size)
+    if c.size > n:
+        x = np.concatenate([x, np.zeros((r.size, -c.size % n))], axis=1)
         x = x.reshape(r.size, -1, n).sum(axis=1)
-    return fft.ifft(x, axis=1, norm="forward")
+    return fft.ifft(x, n=n, axis=1, norm="forward")
 
 
 def _sum_with_tail(terms, series: CoefficientSeries) -> float:

@@ -65,8 +65,8 @@ class Certificate:
     """Outcome of a coefficient criterion.
 
     margin is the criterion slack: limit minus the tested sum for the
-    starlike criterion, 1 - tail_sum(N) for embeddability, and the finite
-    S1 value itself for starshapelikeness.  degree is the minimal certified
+    starlike criterion, 1 - tail_sum(N) for embeddability, and the S1
+    value itself for starshapelikeness (inf past double range).  degree is the minimal certified
     embedding degree (present exactly for certified Embeddable results).
     s0_member marks certificates that additionally witness normal-chain
     embeddability with range C^2.
@@ -200,15 +200,16 @@ def starlike_certificate(f: ShearingMap) -> Certificate:
 
 
 def starshapelike_certificate(f: ShearingMap) -> Certificate:
-    """Certified exactly when sum_k k|a_k| is finite; the margin records the
-    finite S1 value."""
+    """Certified exactly when sum_k k|a_k| is finite, that is when the
+    declared tail bound is not inf: the stored coefficients are finite, so
+    their sum is.  The margin is S1 (coeff_sum_s1), inf also for a
+    certified map whose finite S1 lies past double range, so the status,
+    not the margin, carries finiteness."""
     series = f.g.coefficients
     if series is None:
         return Certificate(KIND_STARSHAPELIKE, STATUS_NOT_CERTIFIED, margin=math.inf)
-    s1 = coeff_sum_s1(series)
-    if math.isfinite(s1):
-        return Certificate(KIND_STARSHAPELIKE, STATUS_CERTIFIED, margin=s1)
-    return Certificate(KIND_STARSHAPELIKE, STATUS_NOT_CERTIFIED, margin=math.inf)
+    status = STATUS_NOT_CERTIFIED if series.tail_bound == math.inf else STATUS_CERTIFIED
+    return Certificate(KIND_STARSHAPELIKE, status, margin=coeff_sum_s1(series))
 
 
 def all_certificates(

@@ -116,6 +116,17 @@ def test_certify_csv(geo_spec, tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+def test_certify_overflowing_sum_is_starshapelike(tmp_path, capsys):
+    """a_2 = 1e308 (1 + i) has the finite S1 = 2 sqrt(2) 1e308, past double
+    range: the map is starshapelike, with margin inf."""
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"start": 2, "coeffs": [[1e308, 1e308]]}')
+    assert main(["certify", "--input", str(spec)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "Starshapelike,Certified,,inf" in rows
+    assert "Embeddable,Certified,2,1" in rows
+
+
 def test_certify_json(geo_spec, tmp_path):
     out = tmp_path / "report.json"
     assert main(["certify", "--input", geo_spec, "--format", "json",

@@ -35,8 +35,9 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import SCAN_LOG_LIMIT, _build_samples, _screen, _split_grid, _subplan
-from shearmaps.series import _BLOCK, LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, _horner
+from shearmaps.geometry import (SCAN_LOG_LIMIT, _build_samples, _log_bounds, _radial_bounds,
+                                _screen, _split_grid, _subplan)
+from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -486,9 +487,10 @@ def test_derived_log_matches_explicit_evaluator(terms):
         assert _scan_outcome(scan, derived) == _scan_outcome(scan, explicit)
 
 
-# 16 structured points; the probes add two more
+# 16 structured points; the probes add two more, so n_random = _STRADDLE
+# makes 8192 distinct points
 _WIDE = SamplerConfig(radius=0.95, n_radial=2, n_split=3, n_phase=2, n_random=0)
-_STRADDLE = _BLOCK - 16 - 2
+_STRADDLE = 8192 - 16 - 2
 
 
 @settings(max_examples=5, deadline=None)
@@ -500,12 +502,11 @@ _STRADDLE = _BLOCK - 16 - 2
     reuse=st.integers(0, 2**16),
     phase=st.floats(0.0, 2.0 * math.pi),
 )
-# one point past the first Horner block, which leaves the z2 = 0 probe to
-# the second
+# 8193 distinct points, the last of them the z2 = 0 probe
 @example(shear=geometric_shear, n_random=_STRADDLE + 1, seed=0, reuse=7, phase=1.0)
 def test_reports_and_traces_identical_for_any_workers(shear, n_random, seed, reuse, phase):
     """Reports and trace bytes do not depend on the worker count, also when
-    the distinct points straddle a Horner block boundary, a probe repeats a
+    the plan holds about 8192 distinct points, a probe repeats a
     random z2 with its own z1, and a probe sits at z2 = 0."""
     f = shear()
     plain = dataclasses.replace(_WIDE, n_random=n_random, seed=seed)
@@ -693,7 +694,8 @@ def _exp_shear(k, c, bounded=False):
 # every sample at z2 != 0 is refused: the same error either way
 @example(f=_exp_shear(10.0, 690.0), alphas=(0.5, 1.0), radius=0.9, rim_phases=[],
          beyond=False, n_random=10, seed=0)
-# the first usable point z2 != 0 is not a candidate of the coarse stage
+# the first usable point z2 != 0 is a candidate only as the coarse row's first
+# usable point
 @example(f=counterexample_map(), alphas=(0.999,), radius=0.95, rim_phases=[], beyond=False,
          n_random=5000, seed=1)
 # many points are candidates
@@ -724,6 +726,34 @@ def test_log_screened_scans_match_full_evaluation(f, alphas, radius, rim_phases,
         trace = Path(tmp) / "trace.csv"
         for scan, kw in ((starlike_scan, {}), (eq1_scan, {"alphas": alphas})):
             assert _outcome(scan, f, cfg, **kw) == _outcome(scan, f, cfg, trace_path=trace, **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.one_of(st.just(counterexample_map()),
+                st.builds(_exp_shear, st.floats(0.0, 3000.0),
+                          st.sampled_from([0.0, 400.0, 590.0, 690.0]), st.just(True))),
+    below=st.sampled_from([(0.5,), (0.3, 0.6, 0.9), (0.999,), (1e-150, 0.2)]),
+    moduli=st.lists(st.floats(0.0, LOG_KERNEL_RADIUS), min_size=1, max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_coarse_row_bounds_every_exact_row(f, below, moduli, seed):
+    """The lemma both stages of the eq1 screen rest on: at every point of
+    modulus at most LOG_KERNEL_RADIUS and in every row alpha < 1, the
+    coarse row of _radial_bounds has U at least and L at most what
+    _log_bounds gives, and it refuses (U inf, L NaN) every point that
+    _log_bounds refuses or certifies in some row."""
+    phases = np.random.default_rng(seed).uniform(-0.3, 0.3, len(moduli) + 1)
+    pts = np.append(moduli, LOG_KERNEL_RADIUS) * np.exp(1j * phases)
+    pts = pts[np.abs(pts) <= LOG_KERNEL_RADIUS]
+    with np.errstate(all="ignore"):
+        coarse = _radial_bounds(f.g, pts, np.abs(pts), below)
+        exact = _log_bounds(f.g, pts, np.abs(pts), below)
+    (upper,), (lower,) = coarse.upper, coarse.lower
+    assert (upper >= exact.upper).all()
+    assert not (lower > exact.lower).any()
+    decided = (exact.upper < math.inf).all(axis=0)
+    assert (upper[~decided] == math.inf).all() and np.isnan(lower[~decided]).all()
 
 
 def test_eq1_overflow_is_negative_without_a_certificate():

@@ -29,7 +29,7 @@ from shearmaps import (
     parse_series_spec,
     tail_sum,
 )
-from shearmaps.series import _BLOCK, _horner, _horner_deriv
+from shearmaps.series import _horner, _horner_deriv
 
 
 def test_geometric_eval_matches_closed_form():
@@ -293,9 +293,9 @@ _coeff = st.one_of(
     st.builds(complex, st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
     st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
 )
-# array sizes around the Horner block seams; the last block of _BLOCK + 1
-# points has one point and takes the out-of-place path
-_SEAMS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+# large arrays: 8192 points, one point either side, and 2 * 8192 + 1
+_LARGE = 8192
+_SEAMS = (_LARGE - 1, _LARGE, _LARGE + 1, 2 * _LARGE + 1)
 
 
 def _disk_array(n, seed):
@@ -323,7 +323,7 @@ def test_in_place_horner_matches_reference_bitwise(coeffs, z):
     """The in-place kernels return what the out-of-place loops return, bit
     for bit, for complex and real arrays and Python complex and float
     scalars, including zeros of either sign, overflow, inf and NaN, and for
-    arrays just below, at and past a block seam."""
+    arrays of about 8192 points and more."""
     with np.errstate(all="ignore"):
         for kernel, reference in (
             (_horner, reference_horner), (_horner_deriv, reference_horner_deriv)

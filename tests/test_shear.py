@@ -155,6 +155,17 @@ def test_starshapelike_certificate():
     assert not cert.certified
 
 
+@pytest.mark.parametrize("coeffs", [(1e308 * (1 + 1j),), (0.0,) * 197 + (1.7e308, 1.7e308)])
+@pytest.mark.parametrize("tail_bound", [None, 0.0, 1e308, math.inf])
+def test_starshapelike_status_carries_finiteness(coeffs, tail_bound):
+    """A finite stored head has a finite sum_k k|a_k|, also when that sum
+    lies past double range: such a map is certified with margin inf, and
+    only an inf tail bound makes the sum infinite."""
+    cert = starshapelike_certificate(shear_from_series(CoefficientSeries(coeffs, tail_bound)))
+    assert cert.certified == (tail_bound != math.inf)
+    assert cert.margin == math.inf
+
+
 def test_embed_certificates():
     cert = embed_certificate(identity_shear())
     assert cert.certified and cert.degree == 1 and cert.margin == 1.0
