@@ -21,8 +21,13 @@ per point, so a realigned z1 is exact: z1 = -|z1| w/|w| with
 w = g(z2) - z2 g'(z2) for the starlike quantity, and z1 = +|z1| c/|c| with
 c = g(z2) - g(a z2)/a for eq1 (|z1| itself where that number is 0).  The
 probe-free part of the plan depends only on the sampler's dimensions and
-seed and is cached, read-only.  The scans run on one thread; their
-`workers` argument is accepted for compatibility and has no effect.
+seed and is cached, read-only, under those numbers (_plan), with the
+screen's per-point table (_Plan.table: |z2|, |z1|, |z2|^2, |z|^2 and its
+maximum, the node index and each point's sample indices).  A series'
+majorant table is cached under the series and the alphas below 1
+(_majorant_table).  Nothing that a kernel of g computes is cached.  The
+scans run on one thread; their `workers` argument is accepted for
+compatibility and has no effect.
 
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
@@ -214,7 +219,9 @@ def boundedness_scan(
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
     if n_angular < 1:
         raise ConfigError(f"n_angular must be >= 1, got {n_angular}")
-    probes = np.asarray(list(angles), dtype=float)
+    angles = list(angles)
+    require_point_count(n_angular + len(angles), f"{n_angular} angles and {len(angles)} probes")
+    probes = np.asarray(angles, dtype=float)
     if not np.isfinite(probes).all():
         raise DomainError(f"probe angles must be finite, got {probes.tolist()!r}")
     phi = np.concatenate([np.arange(n_angular) * (2.0 * math.pi / n_angular), probes])
@@ -243,6 +250,51 @@ class _Samples(NamedTuple):
     phi1: np.ndarray    # phase of z1; NaN means adversarially aligned
 
 
+class _PerPoint(NamedTuple):
+    """What a plan's samples fix at each of its points, the numbers the
+    screen reads: one entry per point (_Plan.table)."""
+
+    points: np.ndarray   # z2
+    modulus: np.ndarray  # |z2|
+    r1: np.ndarray       # |z1|, shared by the samples at the point
+    a2sq: np.ndarray     # |z2|^2
+    q: np.ndarray        # |z|^2 = |z1|^2 + |z2|^2
+    qmax: float          # the largest q
+    node: np.ndarray     # the node index (_node)
+    samples: np.ndarray  # (points x 2) its sample indices, one twice for a point with one
+
+    def take(self, idx) -> "_PerPoint":
+        """The entries of the points idx (indices, ascending)."""
+        q = self.q[idx]
+        return _PerPoint(self.points[idx], self.modulus[idx], self.r1[idx], self.a2sq[idx],
+                         q, q.max(), self.node[idx], self.samples[idx])
+
+
+class _Plan(_Samples):
+    """A sampling plan with its per-point table, built on first read and
+    then kept with the plan: for the probe-free plan that _plan caches,
+    under _plan's key; for a plan with probes, with every plan."""
+
+    @functools.cached_property
+    def table(self) -> _PerPoint:
+        """The per-point table, read-only.  Every point has one sample
+        (structured) or two (_add_twice), with one |z1|."""
+        modulus = np.abs(self.points)
+        r1 = np.empty(self.points.size)
+        r1[self.src] = self.r1
+        a2sq = modulus * modulus
+        q = r1 * r1 + a2sq
+        count = np.bincount(self.src, minlength=self.points.size)
+        first = np.cumsum(count) - count
+        order = np.argsort(self.src, kind="stable")
+        samples = np.column_stack([order[first], order[first + count - 1]])
+        table = _PerPoint(self.points, modulus, r1, a2sq, q, q.max(), _node(modulus), samples)
+        for a in table:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return table
+
+
 def _add_twice(base: _Samples, z2, z1_abs, z1_phase) -> _Samples:
     """base plus the points z2, each sampled twice: with z1 as given
     (modulus z1_abs, phase z1_phase) and with z1 realigned."""
@@ -255,11 +307,12 @@ def _add_twice(base: _Samples, z2, z1_abs, z1_phase) -> _Samples:
 
 
 @functools.lru_cache(maxsize=4)
-def _plan(radius, n_radial, n_split, n_phase, n_random, seed) -> _Samples:
-    """The structured grid and the random points, read-only.  Keyed on the
-    numbers alone: probes stay out, because BallPoint(0, -0.0) equals and
-    hashes like BallPoint(0, 0.0), and a cached probe would change a signed
-    zero in a later report."""
+def _plan(radius, n_radial, n_split, n_phase, n_random, seed) -> _Plan:
+    """The structured grid and the random points, read-only, with their
+    per-point table once a screen read it.  Keyed on the numbers alone:
+    probes stay out, because BallPoint(0, -0.0) equals and hashes like
+    BallPoint(0, 0.0), and a cached probe would change a signed zero in a
+    later report."""
     s_grid = np.linspace(radius / n_radial, radius, n_radial)
     t_grid = _split_grid(n_split)
     p_grid = np.arange(n_phase) * (2.0 * math.pi / n_phase)
@@ -277,16 +330,16 @@ def _plan(radius, n_radial, n_split, n_phase, n_random, seed) -> _Samples:
         plan = _add_twice(plan, rs * np.sqrt(rt) * np.exp(1j * rp2), rs * np.sqrt(1.0 - rt), rp1)
     for a in plan:
         a.flags.writeable = False
-    return plan
+    return _Plan(*plan)
 
 
-def _build_samples(cfg: SamplerConfig) -> _Samples:
+def _build_samples(cfg: SamplerConfig) -> _Plan:
     plan = _plan(cfg.radius, cfg.n_radial, cfg.n_split, cfg.n_phase, cfg.n_random, cfg.seed)
     if not cfg.probes:
         return plan
     pz1 = np.asarray([p.z1 for p in cfg.probes], dtype=complex)
     pz2 = np.asarray([p.z2 for p in cfg.probes], dtype=complex)
-    return _add_twice(plan, pz2, np.abs(pz1), np.angle(pz1))
+    return _Plan(*_add_twice(plan, pz2, np.abs(pz1), np.angle(pz1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +368,28 @@ def _node(modulus: np.ndarray) -> np.ndarray:
     return np.ceil(modulus * (_NODES * (1.0 + 2.0**-48))).astype(np.intp)
 
 
-def _majorant(series: CoefficientSeries, modulus: np.ndarray, below) -> _Bounds | None:
-    """Bounds from the coefficients at points of moduli |z2| = modulus,
+def _majorant(series: CoefficientSeries, node: np.ndarray, below) -> _Bounds | None:
+    """Bounds from the coefficients at points of node indices node (_node),
     with lower 0 and one column per node, or None when a point lies within
     about 2^-48 of the unit circle and when sum_k k|a_k| exceeds
-    e^SCAN_LOG_LIMIT / 2.  A point's column is its node index (_node); the
-    table ends at the largest node a point reads.
+    e^SCAN_LOG_LIMIT / 2.  A point's column is its node index; the table
+    (_majorant_table) ends at the largest node a point reads."""
+    top = node.max()
+    if top > _NODES:
+        return None
+    table = _majorant_table(series, None if below is None else tuple(below))
+    if table is None:
+        return None
+    upper = table[:, :top + 1]
+    return _Bounds(upper, np.zeros(upper.shape), node)
+
+
+@functools.lru_cache(maxsize=8)
+def _majorant_table(series: CoefficientSeries, below) -> np.ndarray | None:
+    """_majorant's table at every node, read-only, or None when
+    sum_k k|a_k| exceeds e^SCAN_LOG_LIMIT / 2.  It depends on |a_k| and the
+    alphas in below alone, so it is cached under the series and below; two
+    equal series differ at most in signed zeros, which |a_k| erases.
     Row i holds, at each node, an upper bound on |q_i| as the scans compute
     it at every point of that node, for q_i = sum_k w_k a_k z2^k: w
     (below None, weights w_k = k - 1) and c (weights 1 - a^(k-1), one row
@@ -349,9 +418,6 @@ def _majorant(series: CoefficientSeries, modulus: np.ndarray, below) -> _Bounds 
     assume, and gives log|g| <= SCAN_LOG_LIMIT at every point, so no sample
     is refused.  eval_raw and deriv_raw must evaluate `coefficients` by
     Horner, as disk_function_from_series builds them."""
-    node = _node(modulus)
-    if node.max() > _NODES:
-        return None
     a = np.abs(np.asarray(series.coeffs, dtype=complex))
     k = np.arange(2.0, a.size + 2.0)
     weights = (k - 1.0)[None] if below is None else 1.0 - np.asarray(below)[:, None] ** (k - 1.0)
@@ -370,8 +436,9 @@ def _majorant(series: CoefficientSeries, modulus: np.ndarray, below) -> _Bounds 
     if not table[-1, -1] <= math.exp(SCAN_LOG_LIMIT) / 2.0:
         return None
     slack = (64.0 * 2.0**-53 * (a.size + 8)) * table[-1] + (2.0**-998 * table[-1, -1] + 2.0**-900)
-    upper = (table[:-1] + slack)[:, :node.max() + 1]
-    return _Bounds(upper, np.zeros(upper.shape), node)
+    upper = table[:-1] + slack
+    upper.flags.writeable = False
+    return upper
 
 
 def _eq1_status(la2, laa):
@@ -442,11 +509,11 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | N
     return _Bounds(upper, lower, slice(None))
 
 
-def _radial_bounds(g: DiskFunction, pts, modulus, below) -> _Bounds | None:
+def _radial_bounds(g: DiskFunction, pts, node, below) -> _Bounds | None:
     """Coarse bounds, one row, for the eq1 rows of the alphas in below (all
     < 1) of a closed form, or None without log_max_abs: at every point (of
-    modulus at most LOG_KERNEL_RADIUS), U at least and L at most what
-    _log_bounds gives in each of those rows.  One kernel pass gives
+    modulus at most LOG_KERNEL_RADIUS, with node indices node), U at least
+    and L at most what _log_bounds gives in each of those rows.  One kernel pass gives
     x = log_abs_raw(z2), and a table over the nodes of _node bounds
     log|g(a z2)/a| for every alpha at once,
 
@@ -461,7 +528,6 @@ def _radial_bounds(g: DiskFunction, pts, modulus, below) -> _Bounds | None:
     or certifies it in some row."""
     if g.log_max_abs is None:
         return None
-    node = _node(modulus)
     t = np.minimum(np.arange(node.max() + 1) / _NODES, LOG_KERNEL_RADIUS)
     a = np.asarray(below)[:, None]
     tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
@@ -483,11 +549,10 @@ def _lower(x, y):
     return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
 
 
-def _keep(b: _Bounds, below, one: bool, r1, modulus, pts):
-    """(keep, live): the keep rule on the points pts that b bounds, of
-    moduli modulus and with |z1| = r1 at each, for the rows of b: the
-    starlike scan's one (below None) or the eq1 rows of the alphas in
-    below, all < 1, with the row alpha = 1 too where one.  keep is a mask
+def _keep(b: _Bounds, below, one: bool, p: _PerPoint):
+    """(keep, live): the keep rule on the points of p that b bounds, for
+    the rows of b: the starlike scan's one (below None) or the eq1 rows of
+    the alphas in below, all < 1, with the row alpha = 1 too where one.  keep is a mask
     over the points, live one flag per row of b: whether it keeps a point.
 
     At a realigned sample a row's computed value is x - y(|z1|, |z2|^2, |q|),
@@ -509,9 +574,7 @@ def _keep(b: _Bounds, below, one: bool, r1, modulus, pts):
     which bounds y at every point.  At alpha = 1, c = 0 and x - y(0) is
     exact."""
     upper, lower, column = b
-    a2sq = modulus * modulus
-    q = r1 * r1 + a2sq
-    qmax = q.max()
+    r1, a2sq, q, qmax = p.r1, p.a2sq, p.q, p.qmax
     # per row x and its least, then y(0)'s largest
     xs, y0max = (([(q, q.min())], 0.0) if below is None
                  else ([(1.0 / (a * a),) * 2 for a in below], qmax))
@@ -536,20 +599,20 @@ def _keep(b: _Bounds, below, one: bool, r1, modulus, pts):
             keep |= row
     if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
         usable = ~np.isnan(lower).all(axis=0)[column]
-        keep[np.flatnonzero(usable & (pts != 0.0))[:1]] = True
+        keep[np.flatnonzero(usable & (p.points != 0.0))[:1]] = True
     return keep, live
 
 
-def _subplan(plan: _Samples, need) -> _Samples:
-    """The samples at the points in need (a mask over plan's points), in
-    plan order, with each of those points once, also in plan order."""
-    keep = need[plan.src]
-    remap = np.cumsum(need) - 1
-    return _Samples(points=plan.points[need], src=remap[plan.src[keep]],
-                    r1=plan.r1[keep], phi1=plan.phi1[keep])
+def _subplan(plan: _Plan, kept) -> _Samples:
+    """The samples at the points kept (indices into plan's points,
+    ascending), in plan order, with each of those points once, also in plan
+    order; its cost grows with the kept points alone."""
+    at = np.unique(plan.table.samples[kept])
+    return _Samples(points=plan.points[kept], src=np.searchsorted(kept, plan.src[at]),
+                    r1=plan.r1[at], phi1=plan.phi1[at])
 
 
-def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
+def _screen(f: ShearingMap, plan: _Plan, avals, trace_path):
     """(samples, live): the sub-plan of the samples whose computed value
     can reach the minimum in some row (the starlike scan's one, avals None,
     or eq1's, one per alpha), in plan order, and per row whether it keeps a
@@ -575,25 +638,22 @@ def _screen(f: ShearingMap, plan: _Samples, avals, trace_path):
         return plan, depends
     below = None if avals is None else [a for a in avals if a < 1.0]
     one = 1.0 in alphas
-    pts, a2 = plan.points, np.abs(plan.points)
-    r1 = np.empty(pts.size)
-    r1[plan.src] = plan.r1
-    sel, b = slice(None), None
+    p = plan.table
+    cand, b = None, None
     if f.g.coefficients is not None:
-        b = _majorant(f.g.coefficients, a2, below)
-    elif a2.max() <= LOG_KERNEL_RADIUS:
-        coarse = None if below is None else _radial_bounds(f.g, pts, a2, below)
+        b = _majorant(f.g.coefficients, p.node, below)
+    elif p.modulus.max() <= LOG_KERNEL_RADIUS:
+        coarse = None if below is None else _radial_bounds(f.g, p.points, p.node, below)
         if coarse is not None:
-            sel = _keep(coarse, [max(below)], one, r1, a2, pts)[0]
-            pts, a2, r1 = pts[sel], a2[sel], r1[sel]
-        b = _log_bounds(f.g, pts, a2, below)
+            cand = np.flatnonzero(_keep(coarse, [max(below)], one, p)[0])
+            p = p.take(cand)
+        b = _log_bounds(f.g, p.points, p.modulus, below)
     if b is None:
         return plan, depends
-    keep, live = _keep(b, below, one, r1, a2, pts)
-    need = np.zeros(plan.points.size, dtype=bool)
-    need[sel] = keep
+    keep, live = _keep(b, below, one, p)
+    kept = np.flatnonzero(keep) if cand is None else cand[keep]
     live = iter(live)
-    return _subplan(plan, need), [d and next(live) for d in depends]
+    return _subplan(plan, kept), [d and next(live) for d in depends]
 
 
 # ---------------------------------------------------------------------------

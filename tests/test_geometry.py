@@ -35,9 +35,9 @@ from shearmaps import (
     starlike_quantity,
     starlike_scan,
 )
-from shearmaps.geometry import (SCAN_LOG_LIMIT, _build_samples, _log_bounds, _radial_bounds,
-                                _screen, _split_grid, _subplan)
-from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, _horner
+from shearmaps.geometry import (SCAN_LOG_LIMIT, _build_samples, _log_bounds, _majorant_table,
+                                _node, _radial_bounds, _screen, _split_grid, _subplan)
+from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, MAX_POINTS, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -364,6 +364,22 @@ def test_boundedness_scan_validation():
             boundedness_scan(g, 0.5, angles=(0.0, angle))
 
 
+def test_boundedness_scan_refuses_an_oversized_grid(monkeypatch):
+    """A circle of more than MAX_POINTS angles and probes is a ConfigError,
+    raised before any array is built: the scan reaches no numpy function."""
+    import shearmaps.geometry as geometry
+
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} reached before the size check")
+
+    g = geometric_shear().g
+    monkeypatch.setattr(geometry, "np", NoArrays())
+    for n_angular, angles in ((2**60, ()), (MAX_POINTS - 1, (0.0, 1.0))):
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            boundedness_scan(g, 0.5, angles=angles, n_angular=n_angular)
+
+
 # ---------------------------------------------------------------------------
 # kernel evaluations per sample
 
@@ -552,6 +568,16 @@ def test_cached_plan_keeps_probe_signed_zeros(tmp_path):
     plan = _build_samples(_TINY)
     assert plan is _build_samples(_TINY)
     assert not any(a.flags.writeable for a in plan)
+    # the per-point table is cached with the probe-free plan alone: a plan
+    # with probes builds its own, from its own points, with every call
+    assert plan.table is _build_samples(_TINY).table
+    for z2 in (0.0, -0.0):
+        cfg = dataclasses.replace(_TINY, probes=((0.01, z2),))
+        first, second = _build_samples(cfg), _build_samples(cfg)
+        assert first is not second and first.table is not second.table
+        assert first.table.points is first.points
+        assert math.copysign(1.0, first.table.points[-1].real) == math.copysign(1.0, z2)
+    assert plan.table.points is plan.points and plan.points.size < first.points.size
     # sample_count reads the cached split grid instead of rebuilding it
     assert _split_grid(_TINY.n_split) is _split_grid(_TINY.n_split)
     assert not _split_grid(_TINY.n_split).flags.writeable
@@ -565,12 +591,88 @@ def test_subplan_keeps_samples_in_plan_order(seed):
     plan = _build_samples(_PROBED)
     rng = np.random.default_rng(seed)
     need = rng.random(plan.points.size) < (0.0, 1.0, 0.01, 0.1, 0.5, 0.9)[seed]
-    sub = _subplan(plan, need)
+    sub = _subplan(plan, np.flatnonzero(need))
     keep = need[plan.src]
     assert sub.points.tobytes() == plan.points[need].tobytes()
     assert sub.points[sub.src].tobytes() == plan.points[plan.src][keep].tobytes()
     assert sub.r1.tobytes() == plan.r1[keep].tobytes()
     assert sub.phi1.tobytes() == plan.phi1[keep].tobytes()
+
+
+def _mask_subplan(plan, need):
+    """The sub-plan by a mask over all points and a cumsum over them: the
+    construction _subplan replaced, kept as its oracle."""
+    keep = need[plan.src]
+    remap = np.cumsum(need) - 1
+    return plan.points[need], remap[plan.src[keep]], plan.r1[keep], plan.phi1[keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_random=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+    probes=st.sampled_from(["none", "origin", "repeat", "both"]),
+    reuse=st.integers(0, 2**16),
+    density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    mask_seed=st.integers(0, 2**16),
+)
+@example(n_random=0, seed=0, probes="origin", reuse=0, density=1.0, mask_seed=0)
+@example(n_random=7, seed=1, probes="both", reuse=3, density=0.0, mask_seed=0)
+def test_subplan_matches_the_mask_construction(n_random, seed, probes, reuse, density,
+                                                mask_seed):
+    """_subplan, which reads the kept points' sample indices from the
+    plan's table, gives bit for bit the arrays, order and dtypes of the
+    mask-and-cumsum construction, for any mask, the empty and the full
+    one included, on plans with probes at z2 = 0 and repeating a random
+    z2, and without random points."""
+    cfg = SamplerConfig(radius=0.95, n_radial=3, n_split=3, n_phase=2, n_random=n_random,
+                        seed=seed)
+    extra = []
+    if probes in ("origin", "both"):
+        extra += [(0.2j, 0.0), (0.1, -0.0)]
+    if probes in ("repeat", "both") and n_random:
+        structured = cfg.sample_count - 2 * n_random
+        z2 = complex(_build_samples(cfg).points[structured + reuse % n_random])
+        extra += [(0.3 * math.sqrt(1.0 - abs(z2) ** 2), z2)]
+    plan = _build_samples(dataclasses.replace(cfg, probes=extra))
+    need = np.random.default_rng(mask_seed).random(plan.points.size) < density
+    sub = _subplan(plan, np.flatnonzero(need))
+    want = _mask_subplan(plan, need)
+    assert len(sub) == 4
+    for got, expected in zip(sub, want):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [SamplerConfig(), _PROBED,
+                                 dataclasses.replace(_PROBED, n_random=0)])
+def test_per_point_table_matches_a_fresh_computation(cfg):
+    """Every array of a plan's per-point table equals, byte for byte, the
+    expression the screen evaluated per call before the table existed, and
+    is read-only; each point's two sample indices are its first and last
+    sample (the same for a point with one sample)."""
+    plan = _build_samples(cfg)
+    table = plan.table
+    assert table is plan.table
+    modulus = np.abs(plan.points)
+    r1 = np.empty(plan.points.size)
+    r1[plan.src] = plan.r1
+    a2sq = modulus * modulus
+    q = r1 * r1 + a2sq
+    first = np.full(plan.points.size, -1)
+    last = np.full(plan.points.size, -1)
+    for i, j in enumerate(plan.src.tolist()):
+        last[j] = i
+        if first[j] < 0:
+            first[j] = i
+    fresh = {"points": plan.points, "modulus": modulus, "r1": r1, "a2sq": a2sq, "q": q,
+             "node": _node(modulus), "samples": np.column_stack([first, last])}
+    for name, want in fresh.items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    assert table.qmax == q.max()
 
 
 @pytest.mark.parametrize("cfg", [SamplerConfig(), _PROBED,
@@ -641,6 +743,59 @@ def test_screened_scans_match_full_evaluation(coeffs, alphas, radius, probes, n_
             screened = _outcome(scan, f, cfg, **kw)
             assert screened == _outcome(scan, full, cfg, **kw)
             assert screened == _outcome(scan, f, cfg, trace_path=trace, **kw)
+
+
+_CACHE_GRIDS = (None, default_alpha_grid(), (0.3, 0.6, 0.9), (0.999,))
+
+
+def _grid_outcome(c, cfg, grid):
+    """The starlike scan (grid None) or the eq1 scan on grid of series c."""
+    f = shear_from_series(c, label="cached")
+    return _outcome(starlike_scan, f, cfg) if grid is None \
+        else _outcome(eq1_scan, f, cfg, alphas=grid)
+
+
+def test_majorant_table_is_cached_read_only():
+    """The cached majorant table of a series and an alpha grid equals a
+    fresh build, bit for bit, and is read-only; scans run with the cache
+    cleared before every call report what scans on a warm cache report."""
+    series = (CoefficientSeries(tuple(0.5 / k**3 for k in range(2, 201))),
+              CoefficientSeries(tuple(2.0**-k for k in range(2, 41))),
+              CoefficientSeries((2.7,)), CoefficientSeries((0.0, 1e-310)))
+    warm = {}
+    for c in series:
+        for grid in _CACHE_GRIDS:
+            below = None if grid is None else tuple(a for a in grid if a < 1.0)
+            table = _majorant_table(c, below)
+            assert table is _majorant_table(c, below)
+            assert not table.flags.writeable
+            assert table.tobytes() == _majorant_table.__wrapped__(c, below).tobytes()
+            warm[c, grid] = _grid_outcome(c, SMALL, grid)
+    for c in series:
+        for grid in _CACHE_GRIDS:
+            _majorant_table.cache_clear()
+            assert _grid_outcome(c, SMALL, grid) == warm[c, grid]
+
+
+@pytest.mark.parametrize("zero", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+def test_majorant_cache_shares_signed_zeros(zero):
+    """Two series that differ only in a signed zero are equal keys, so
+    they share one cached majorant table, and the second one's scans
+    report what its fresh runs report."""
+    plain = CoefficientSeries((0.0, 0.4, 0.0, 0.1j))
+    signed = CoefficientSeries((zero, 0.4, zero, 0.1j))
+    assert plain == signed and hash(plain) == hash(signed)
+    fresh = {}
+    for grid in _CACHE_GRIDS:
+        _majorant_table.cache_clear()
+        fresh[grid] = _grid_outcome(signed, _PROBED, grid)
+    _majorant_table.cache_clear()
+    for grid in _CACHE_GRIDS:
+        _grid_outcome(plain, _PROBED, grid)
+    for grid in _CACHE_GRIDS:
+        assert _grid_outcome(signed, _PROBED, grid) == fresh[grid]
+    info = _majorant_table.cache_info()
+    assert info.currsize == info.misses == info.hits == len(_CACHE_GRIDS)
 
 
 def _exp_shear(k, c, bounded=False):
@@ -747,7 +902,7 @@ def test_coarse_row_bounds_every_exact_row(f, below, moduli, seed):
     pts = np.append(moduli, LOG_KERNEL_RADIUS) * np.exp(1j * phases)
     pts = pts[np.abs(pts) <= LOG_KERNEL_RADIUS]
     with np.errstate(all="ignore"):
-        coarse = _radial_bounds(f.g, pts, np.abs(pts), below)
+        coarse = _radial_bounds(f.g, pts, _node(np.abs(pts)), below)
         exact = _log_bounds(f.g, pts, np.abs(pts), below)
     (upper,), (lower,) = coarse.upper, coarse.lower
     assert (upper >= exact.upper).all()
