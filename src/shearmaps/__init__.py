@@ -19,7 +19,6 @@ from .counterexample import (
     ce_lower_bound,
     counterexample_disk_function,
     counterexample_map,
-    divergence_ratio,
     divergence_scan,
     radial_image_bound,
     simplified_lower_bound,
@@ -39,7 +38,6 @@ from .geometry import (
     VIOLATION_THRESHOLD,
     SamplerConfig,
     ScanReport,
-    boundedness_scan,
     default_alpha_grid,
     eq1_residual,
     eq1_scan,
@@ -49,10 +47,7 @@ from .geometry import (
 from .growth import (
     GrowthRecord,
     growth_conformance_scan,
-    opnorm2,
-    opnorm2_pair,
     s0_growth_bound,
-    schwarz_pick_bound,
     shear_opnorm,
     unipotent_opnorm,
 )
@@ -72,11 +67,9 @@ from .series import (
 from .shear import (
     STARLIKE_SUM_LIMIT,
     Certificate,
-    Jacobian2,
     ShearingMap,
     all_certificates,
     embed_certificate,
-    identity_shear,
     shear_from_series,
     starlike_certificate,
     starshapelike_certificate,

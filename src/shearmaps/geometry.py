@@ -11,7 +11,7 @@ eq1_residual evaluates the slack of the necessary inequality
     |z1 + g(z2) - (1/a) g(a z2)|^2 + |z2|^2 < 1/a^2,   a in (0, 1],
 
 which every starlike shearing map satisfies (at a = 1 the residual is
-exactly 1 - |z|^2).  boundedness_scan reports max log|g| on a circle.
+exactly 1 - |z|^2).
 
 The scans sample sphere-stratified structured grids (radius s, split
 |z2|^2 = t s^2, phase of z2), plus seeded random points and user probes
@@ -206,28 +206,6 @@ def eq1_residual(f: ShearingMap, alpha: float, point) -> float:
             "negative; the scans report such a sample as -inf"
         )
     return 1.0 / (a * a) - (m2 + abs(p.z2) ** 2)
-
-
-def boundedness_scan(
-    g: DiskFunction, r: float, angles: Sequence[float] = (), n_angular: int = 4096
-) -> float:
-    """Max of log|g| over the circle |zeta| = r (uniform angles plus probes),
-    through DiskFunction.log_abs_of, so closed forms never overflow.  Returns
-    -inf when g vanishes at every probed point (identically-small state)."""
-    r = float(r)
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    if n_angular < 1:
-        raise ConfigError(f"n_angular must be >= 1, got {n_angular}")
-    angles = list(angles)
-    require_point_count(n_angular + len(angles), f"{n_angular} angles and {len(angles)} probes")
-    probes = np.asarray(angles, dtype=float)
-    if not np.isfinite(probes).all():
-        raise DomainError(f"probe angles must be finite, got {probes.tolist()!r}")
-    phi = np.concatenate([np.arange(n_angular) * (2.0 * math.pi / n_angular), probes])
-    zeta = r * np.exp(1j * phi)
-    with np.errstate(all="ignore"):
-        return float(np.max(g.log_abs_of(zeta, g.eval_raw(zeta))))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, UncertifiedMapError
 from .series import as_ball_point, circle_values, require_point_count
-from .shear import Jacobian2, ShearingMap, starlike_certificate
+from .shear import ShearingMap, starlike_certificate
 
 # Sampled sup may exceed the ceiling by at most this before it counts as a
 # conformance violation (absorbs evaluation rounding only).
@@ -53,46 +53,6 @@ class GrowthRecord:
     sup_norm: float
     bound: float
     conforms: bool
-
-
-def _validate_matrix(j: Jacobian2) -> tuple[complex, complex, complex, complex]:
-    entries = (j.a11, j.a12, j.a21, j.a22)
-    for e in entries:
-        z = complex(e)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError(f"matrix entries must be finite, got {z!r}")
-    return entries
-
-
-def opnorm2_pair(j: Jacobian2) -> tuple[float, float]:
-    """Both singular values of a complex 2x2 matrix via the closed form
-    sigma^2 = (T +- sqrt(T^2 - 4D))/2 with T = sum |entries|^2, D = |det|^2.
-    The smaller root uses the cancellation-free form 2D/(T + sqrt(disc))."""
-    a, b, c, d = _validate_matrix(j)
-    # prescale by the largest entry so T^2 and D stay in range (the raw
-    # squared-domain formula under/overflows for entries near 1e-150 / 1e150)
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0:
-        return 0.0, 0.0
-    a, b, c, d = a / scale, b / scale, c / scale, d / scale
-    t = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = abs(a * d - b * c) ** 2
-    disc = t * t - 4.0 * det
-    if disc < 0.0:
-        # T^2 - 4D = (sigma1^2 - sigma2^2)^2 >= 0; a negative value is
-        # rounding noise and must be tiny relative to T^2
-        if -disc > 1e-12 * t * t:
-            raise DomainError(f"singular-value discriminant {disc!r} is not rounding noise")
-        disc = 0.0
-    root = math.sqrt(disc)
-    smax = scale * math.sqrt((t + root) / 2.0)
-    smin = scale * (math.sqrt(2.0 * det / (t + root)) if t + root > 0.0 else 0.0)
-    return smax, smin
-
-
-def opnorm2(j: Jacobian2) -> float:
-    """Largest singular value (spectral operator norm) of a 2x2 matrix."""
-    return opnorm2_pair(j)[0]
 
 
 def unipotent_opnorm(m: float) -> float:
@@ -113,18 +73,6 @@ def s0_growth_bound(r: float) -> float:
     if not (0.0 <= r < 1.0):
         raise DomainError(f"r must lie in [0, 1), got {r!r}")
     return (1.0 + math.sqrt(r)) ** 2 / (1.0 - r) ** 3
-
-
-def schwarz_pick_bound(rho: float, zeta_norm: float) -> float:
-    """Intermediate estimate 1/((1 - rho)^2 (1 - |zeta|^2)); equals
-    s0_growth_bound(r) at rho = |zeta| = sqrt(r)."""
-    rho = float(rho)
-    zn = float(zeta_norm)
-    if not (0.0 <= rho < 1.0):
-        raise DomainError(f"rho must lie in [0, 1), got {rho!r}")
-    if not (0.0 <= zn < 1.0):
-        raise DomainError(f"zeta_norm must lie in [0, 1), got {zn!r}")
-    return 1.0 / ((1.0 - rho) ** 2 * (1.0 - zn * zn))
 
 
 def _screen_slack(slopes: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedRepresentationError
 from .series import (
-    BallPoint,
     CoefficientSeries,
     DiskFunction,
     as_ball_point,
@@ -42,22 +41,6 @@ KIND_EMBEDDABLE = "Embeddable"
 
 STATUS_CERTIFIED = "Certified"
 STATUS_NOT_CERTIFIED = "NotCertified"
-
-
-@dataclass(frozen=True)
-class Jacobian2:
-    """Complex 2x2 Jacobian matrix [[a11, a12], [a21, a22]]."""
-
-    a11: complex
-    a12: complex
-    a21: complex
-    a22: complex
-
-    def det(self) -> complex:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def as_rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a11, self.a12), (self.a21, self.a22))
 
 
 @dataclass(frozen=True)
@@ -116,10 +99,6 @@ class ShearingMap:
         w1 = require_finite_complex(w1, "w1")
         return (w1 - self.g.eval(w2), complex(w2))
 
-    def jacobian(self, point) -> Jacobian2:
-        p = as_ball_point(point)
-        return Jacobian2(1.0 + 0.0j, self.g.deriv(p.z2), 0.0j, 1.0 + 0.0j)
-
     def _series(self, op: str) -> CoefficientSeries:
         if self.g.coefficients is None:
             raise UnsupportedRepresentationError(
@@ -151,10 +130,6 @@ class ShearingMap:
 
 def shear_from_series(series: CoefficientSeries, label: str = "") -> ShearingMap:
     return ShearingMap(disk_function_from_series(series, label=label))
-
-
-def identity_shear(label: str = "identity") -> ShearingMap:
-    return shear_from_series(CoefficientSeries(()), label=label)
 
 
 def embed_certificate(f: ShearingMap, n_max: int = DEFAULT_N_MAX) -> Certificate:

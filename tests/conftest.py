@@ -34,6 +34,10 @@ def geometric_deriv(zeta: complex) -> complex:
     return (8.0 * zeta - 2.0 * zeta * zeta) / (4.0 - 2.0 * zeta) ** 2
 
 
+def identity_shear():
+    return shear_from_series(CoefficientSeries(()), label="identity")
+
+
 def monomial_shear(a2, label="monomial"):
     return shear_from_series(CoefficientSeries((complex(a2),)), label=label)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shearmaps.counterexample
 from shearmaps import (
@@ -13,7 +15,6 @@ from shearmaps import (
     ce_lower_bound,
     counterexample_disk_function,
     counterexample_map,
-    divergence_ratio,
     divergence_scan,
     radial_image_bound,
     shear_opnorm,
@@ -87,10 +88,9 @@ def test_deriv_refused_past_double_range():
     [
         (lambda: unit_modulus_check(()), ConfigError),
         (lambda: unit_modulus_check((1.0,)), DomainError),
-        (lambda: divergence_ratio(0.0), DomainError),
         (lambda: radial_image_bound(1.0), DomainError),
     ],
-    ids=["empty-grid", "radius-one", "ratio-at-zero", "image-at-one"],
+    ids=["empty-grid", "radius-one", "image-at-one"],
 )
 def test_radial_functions_refuse_bad_radii(call, error):
     with pytest.raises(error):
@@ -116,12 +116,13 @@ def test_bound_ordering_on_grid():
 
 
 def test_divergence_ratio_oracles():
-    np.testing.assert_allclose(divergence_ratio(0.9), 24.3, atol=1e-3)
-    np.testing.assert_allclose(divergence_ratio(0.99), 294.03, atol=5e-2)
+    at_09, at_099 = divergence_scan((0.9, 0.99)).records
+    np.testing.assert_allclose(at_09.ratio, 24.3, atol=1e-3)
+    np.testing.assert_allclose(at_099.ratio, 294.03, atol=5e-2)
 
 
 def test_divergence_ratio_strictly_increasing_past_half():
-    ratios = [divergence_ratio(r) for r in np.linspace(0.55, 0.99, 12)]
+    ratios = [rec.ratio for rec in divergence_scan(np.linspace(0.55, 0.99, 12)).records]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
@@ -189,6 +190,26 @@ def test_divergence_record_rejects_inconsistent_bound():
     with pytest.raises(DomainError):
         DivergenceRecord(r=0.9, opnorm=10.0, lower_bound=24297.2,
                          simplified_bound=16200.0, ratio=0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.one_of(
+        st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        # distances 1e-15 .. 0.3 from 1 on a log scale
+        st.floats(-15.0, -0.5).map(lambda e: 1.0 - 10.0**e),
+        # the nine doubles below 1 within 1e-15 of it
+        st.integers(1, 9).map(lambda k: 1.0 - k * 2.0**-53),
+    )
+)
+# the rounded norm falls 2 ulps short of the rounded lower bound here
+@example(r=0.9999969930989308)
+def test_divergence_scan_accepts_every_radius(r):
+    """Near r = 1 the exact norm exceeds the exact lower bound by less than
+    the rounding of either, so every radius of (1/2, 1) must pass the
+    record's check with its slack."""
+    scan = divergence_scan(sorted({0.6, r}))
+    assert all(rec.opnorm >= rec.simplified_bound for rec in scan.records)
 
 
 def _contract_points(rng, n):

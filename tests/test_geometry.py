@@ -13,6 +13,7 @@ from conftest import (
     KERNELS,
     counted_shear,
     geometric_shear,
+    identity_shear,
     monomial_shear,
     random_ball_points,
 )
@@ -25,19 +26,17 @@ from shearmaps import (
     OverflowRefusalError,
     SamplerConfig,
     ShearingMap,
-    boundedness_scan,
     counterexample_map,
     default_alpha_grid,
     eq1_residual,
     eq1_scan,
-    identity_shear,
     shear_from_series,
     starlike_quantity,
     starlike_scan,
 )
 from shearmaps.geometry import (SCAN_LOG_LIMIT, _build_samples, _log_bounds, _majorant_table,
                                 _node, _radial_bounds, _screen, _split_grid, _subplan)
-from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, MAX_POINTS, _horner
+from shearmaps.series import LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, _horner
 
 # peak of s^2 - |a2| c s^3 analysis: the sphere minimum of the starlike
 # quantity for g = a2 z^2 sits at |z2|^2 = (2/3) s^2 with value
@@ -49,7 +48,7 @@ SMALL = SamplerConfig(radius=0.9, n_radial=6, n_split=7, n_phase=4, n_random=300
 
 def generic_starlike_quantity(f, p):
     """Independent route: Re<[df(z)]^-1 f(z), z> via a numpy linear solve."""
-    j = np.array(f.jacobian(p).as_rows(), dtype=complex)
+    j = np.array([[1.0, f.g.deriv(p.z2)], [0.0, 1.0]])
     u = np.linalg.solve(j, np.array(f.eval(p), dtype=complex))
     return (u[0] * p.z1.conjugate() + u[1] * p.z2.conjugate()).real
 
@@ -76,8 +75,6 @@ def test_starlike_quantity_geometric_vs_generic():
 
 
 def test_identity_map_quantity_is_norm_squared():
-    from shearmaps import identity_shear
-
     f = identity_shear()
     p = BallPoint(0.3 + 0.4j, -0.5j)
     assert starlike_quantity(f, p) == pytest.approx(p.norm_sq, rel=1e-15)
@@ -117,8 +114,6 @@ def test_scan_determinism_and_workers():
 def test_scan_tie_breaking_is_deterministic():
     """g = 0 makes the quantity constant on every sphere, so the minimum is
     massively tied; the witness must still be reproducible."""
-    from shearmaps import identity_shear
-
     f = identity_shear()
     cfg = SamplerConfig(radius=0.8, n_radial=4, n_split=5, n_phase=4, n_random=50)
     a = starlike_scan(f, sampler=cfg)
@@ -325,59 +320,6 @@ def test_eq1_trace(tmp_path):
     assert len(rows) == 2 * report.samples  # one row per (alpha, sample)
     alphas = {float(r["alpha"]) for r in rows}
     assert alphas == {0.5, 1.0}
-
-
-# ---------------------------------------------------------------------------
-# boundedness scan
-
-
-def test_boundedness_scan_monomial_closed_form():
-    g = monomial_shear(2.7).g
-    for r in (0.3, 0.6, 0.9):
-        got = boundedness_scan(g, r, n_angular=64)
-        np.testing.assert_allclose(got, math.log(2.7 * r * r), rtol=1e-12)
-
-
-def test_boundedness_scan_identity_is_minus_inf():
-    from shearmaps import identity_shear
-
-    assert boundedness_scan(identity_shear().g, 0.5, n_angular=16) == -math.inf
-
-
-def test_boundedness_scan_includes_probe_angles():
-    ce = counterexample_map()
-    base = boundedness_scan(ce.g, 0.9, n_angular=8)
-    spiked = boundedness_scan(ce.g, 0.9, angles=(0.0,), n_angular=8)
-    assert spiked >= base
-
-
-def test_boundedness_scan_validation():
-    g = geometric_shear().g
-    with pytest.raises(DomainError):
-        boundedness_scan(g, 1.0)
-    with pytest.raises(DomainError):
-        boundedness_scan(g, 0.0)
-    with pytest.raises(ConfigError):
-        boundedness_scan(g, 0.5, n_angular=0)
-    for angle in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            boundedness_scan(g, 0.5, angles=(0.0, angle))
-
-
-def test_boundedness_scan_refuses_an_oversized_grid(monkeypatch):
-    """A circle of more than MAX_POINTS angles and probes is a ConfigError,
-    raised before any array is built: the scan reaches no numpy function."""
-    import shearmaps.geometry as geometry
-
-    class NoArrays:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} reached before the size check")
-
-    g = geometric_shear().g
-    monkeypatch.setattr(geometry, "np", NoArrays())
-    for n_angular, angles in ((2**60, ()), (MAX_POINTS - 1, (0.0, 1.0))):
-        with pytest.raises(ConfigError, match="exceeds the limit"):
-            boundedness_scan(g, 0.5, angles=angles, n_angular=n_angular)
 
 
 # ---------------------------------------------------------------------------

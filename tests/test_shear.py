@@ -9,6 +9,7 @@ from conftest import (
     bounded_nine_term_shear,
     geometric_shear,
     heavy_nine_term_shear,
+    identity_shear,
     monomial_shear,
     random_ball_points,
 )
@@ -21,7 +22,6 @@ from shearmaps import (
     all_certificates,
     counterexample_map,
     embed_certificate,
-    identity_shear,
     shear_from_series,
     starlike_certificate,
     starshapelike_certificate,
@@ -47,17 +47,6 @@ def test_inverse_requires_disk_second_slot():
     w1, w2 = f.inverse((25.0 + 3.0j, 0.5))
     assert w2 == 0.5
     assert abs(w1 - (25.0 + 3.0j - f.g.eval(0.5))) < 1e-12
-
-
-def test_jacobian_is_unipotent():
-    f = geometric_shear()
-    rng = np.random.default_rng(22)
-    for p in random_ball_points(rng, 100):
-        j = f.jacobian(p)
-        assert j.a11 == 1.0 and j.a22 == 1.0 and j.a21 == 0.0
-        assert j.det() == 1.0 + 0.0j  # exact: unimodular by construction
-        assert j.a12 == f.g.deriv(p.z2)
-        assert j.as_rows() == ((1.0, j.a12), (0.0, 1.0))
 
 
 def test_truncated_and_tail_partition_coefficients():
