@@ -46,6 +46,19 @@ below 2^-26 as above, so LOG_KERNEL_ETA covers both with room to spare.
 Every term is nondecreasing in t, and so is its computed value, because
 log, products, the reciprocal of a positive number and sums round
 monotonically.
+
+The radial bound deriv_log_max_abs(t) = log(2t + 3t^2/(1-t)^4) + (1-t)^-3
++ LOG_KERNEL_ETA keeps the promise for deriv_log_abs_raw.  On |zeta| <= t,
+|1-zeta| >= 1-t bounds the prefactor, |2 zeta + 3i zeta^2/(1-zeta)^4| <=
+2t + 3t^2/(1-t)^4, and -Im v^-1 <= |1-zeta|^-3 <= (1-t)^-3 its phase as
+above.  The computed prefactor's modulus is at most its two terms' moduli
+times 1 + a few u, even where the terms cancel, so log of it errs above
+the exact log(2t + 3t^2/(1-t)^4) by a few u; its Im v^-1 errs by
+c u |1-zeta|^-3; and the computed bound errs from its exact value by a few
+u (1 + |log(2t + 3t^2/(1-t)^4)| + (1-t)^-3), where the log lies between
+-745 and 24 above the subnormal range.  Each error stays below 2^-26 as
+above, and LOG_KERNEL_ETA covers them.  2t, 3t^2, (1-t)^-4, the log and
+(1-t)^-3 are nondecreasing in t, and so are their computed values.
 """
 
 from __future__ import annotations
@@ -97,6 +110,12 @@ def _log_max_abs(t):
         return 2.0 * np.log(t) + 1.0 / (d * d * d) + LOG_KERNEL_ETA
 
 
+def _deriv_log_max_abs(t):
+    d = 1.0 - t
+    with np.errstate(divide="ignore"):
+        return np.log(2.0 * t + 3.0 * t * t / (d * d) ** 2) + 1.0 / (d * d * d) + LOG_KERNEL_ETA
+
+
 def counterexample_disk_function() -> DiskFunction:
     return DiskFunction(
         eval_raw=_g_raw,
@@ -104,6 +123,7 @@ def counterexample_disk_function() -> DiskFunction:
         log_abs_raw=_log_abs_raw,
         deriv_log_abs_raw=_deriv_log_abs_raw,
         log_max_abs=_log_max_abs,
+        deriv_log_max_abs=_deriv_log_max_abs,
         coefficients=None,
         label=BUILTIN_NAME,
     )

@@ -30,15 +30,17 @@ scans run on one thread; their `workers` argument is accepted for
 compatibility and has no effect.
 
 The kernels see each distinct z2 of the plan at most once (both copies of
-a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) per
-alpha < 1 are evaluated as arrays, and only the arithmetic that involves z1
-runs per sample.  A screen (_screen) first picks the samples that can
-reach the minimum: one keep rule (_keep) applied to bounds on the number
-the scan computes at each point, w or c per alpha, from the sources that
-derive them (_majorant, _log_bounds, and _radial_bounds for a coarse first
-stage).  The scan evaluates that sub-plan (_subplan) on its one path, and
-reports what the full plan reports, byte for byte; an eq1 row that keeps
-no sample is +inf and calls no kernel.
+a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) at
+every alpha < 1 in one (alphas x points) pass are evaluated as arrays, and
+only the arithmetic that involves z1 runs per sample.  A screen (_screen)
+first picks the samples that can reach the minimum: one keep rule (_keep)
+applied to bounds on the number the scan computes at each point, w or c
+per alpha, from the sources that derive them (_majorant, _log_bounds, and
+_radial_bounds for a coarse per-circle stage of either scan; the starlike
+scan's refused circles are evaluated first).  The scan evaluates that
+sub-plan (_subplan) on its one path, and reports what the full plan
+reports, byte for byte; an eq1 row that keeps no sample is +inf and calls
+no kernel.
 
 Values whose log-magnitudes exceed a screening limit are not trusted in
 double precision.  The starlike scan excludes those samples (counted as
@@ -447,6 +449,25 @@ def _two_term(ex, ey, ey_low, s, ok, certified=False):
     return upper, lower
 
 
+def _logs(alphas) -> np.ndarray:
+    """log a per alpha as a column, each from math.log, as for a scalar."""
+    return np.asarray([math.log(a) for a in alphas])[:, None]
+
+
+def _by_rows(kernels, a, pts) -> list:
+    """The tuple kernels(a z2), for each alpha of the column a, as arrays
+    of rows x points.  kernels takes a flat array, once per group of rows
+    below 2^18 bytes of complex (one row where a row is larger): past that
+    size numpy evaluates temporaries in place, which can round a complex
+    product differently from one call per row."""
+    step = max(1, (2**18 - 1) // (16 * max(pts.size, 1)))
+    parts = []
+    for i in range(0, a.shape[0], step):
+        z = a[i:i + step] * pts
+        parts.append([np.asarray(v).reshape(z.shape) for v in kernels(z.ravel())])
+    return [np.concatenate(v) for v in zip(*parts)]
+
+
 def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | None:
     """Bounds from a closed form's log kernels at pts, of moduli modulus at
     most LOG_KERNEL_RADIUS, one column per point, or None without
@@ -480,20 +501,32 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | N
         ey = modulus * np.exp(lda + 2.0 * LOG_KERNEL_ETA)
         ok = (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT)
         upper[0], lower[0] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998, ok)
-    for i, a in enumerate(below or ()):
-        laa = np.asarray(g.log_abs_raw(a * pts), dtype=float) - math.log(a)
+    if below:
+        a = np.asarray(below)[:, None]
+        laa = _by_rows(lambda z: (np.asarray(g.log_abs_raw(z), dtype=float),), a, pts)[0]
+        laa -= _logs(below)
         ey = np.exp(laa + 2.0 * LOG_KERNEL_ETA)
-        upper[i], lower[i] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998 / a, *_eq1_status(la, laa))
+        upper[:], lower[:] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998 / a, *_eq1_status(la, laa))
     return _Bounds(upper, lower, slice(None))
 
 
 def _radial_bounds(g: DiskFunction, pts, node, below) -> _Bounds | None:
-    """Coarse bounds, one row, for the eq1 rows of the alphas in below (all
-    < 1) of a closed form, or None without log_max_abs: at every point (of
+    """Coarse bounds, one row, for the starlike scan's row (below None) or
+    the eq1 rows of the alphas in below (all < 1) of a closed form, or None
+    without log_max_abs (starlike: deriv_log_max_abs): at every point (of
     modulus at most LOG_KERNEL_RADIUS, with node indices node), U at least
-    and L at most what _log_bounds gives in each of those rows.  One kernel pass gives
-    x = log_abs_raw(z2), and a table over the nodes of _node bounds
-    log|g(a z2)/a| for every alpha at once,
+    and L at most what _log_bounds gives in each of those rows, from
+    radial bounds at t_j = min(j / _NODES, LOG_KERNEL_RADIUS) >= |z2|.
+
+    The starlike row is one column per node, with M_j = log_max_abs(t_j)
+    and D_j = deriv_log_max_abs(t_j) above the kernels' x and y at every
+    point of node j:
+
+        U_j = e^(M_j + 2 eta) + t_j e^(D_j + 2 eta) + 2^-998,   L = 0,
+
+    above _log_bounds' U term by term, as exp, products and sums round
+    monotonically.  For eq1, one kernel pass gives x = log_abs_raw(z2), and
+    a table over the nodes bounds log|g(a z2)/a| for every alpha at once,
 
         Ybar_j = max over a of fl(log_max_abs(t') - log a) + 2^-40,
         t' = min(a t_j rounded up, LOG_KERNEL_RADIUS),
@@ -502,15 +535,20 @@ def _radial_bounds(g: DiskFunction, pts, node, below) -> _Bounds | None:
     node j: |fl(a z2)| <= t', the subtraction rounds monotonically, and
     2^-40 nats cover the rounding of exp.  _two_term takes Ybar for y, no
     lower bound on |Y|, and s = 2^-998 / (least alpha).  A point is refused
-    where x or Ybar exceeds SCAN_LOG_LIMIT, so wherever _log_bounds refuses
-    or certifies it in some row."""
-    if g.log_max_abs is None:
+    where M_j or D_j (eq1: x or Ybar) exceeds SCAN_LOG_LIMIT, so wherever
+    _log_bounds refuses or certifies it in some row."""
+    if g.log_max_abs is None or (below is None and g.deriv_log_max_abs is None):
         return None
     t = np.minimum(np.arange(node.max() + 1) / _NODES, LOG_KERNEL_RADIUS)
+    if below is None:
+        m, d = (np.asarray(b(t), dtype=float) for b in (g.log_max_abs, g.deriv_log_max_abs))
+        ok = (m <= SCAN_LOG_LIMIT) & (d <= SCAN_LOG_LIMIT)
+        upper = np.exp(m + 2.0 * LOG_KERNEL_ETA) + t * np.exp(d + 2.0 * LOG_KERNEL_ETA) + 2.0**-998
+        upper[~ok] = math.inf
+        return _Bounds(upper[None], np.where(ok, 0.0, math.nan)[None], node)
     a = np.asarray(below)[:, None]
     tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
-    logs = np.asarray([math.log(x) for x in below])[:, None]
-    ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - logs).max(axis=0) + 2.0**-40
+    ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - _logs(below)).max(axis=0) + 2.0**-40
     x = np.asarray(g.log_abs_raw(pts), dtype=float)
     ok = (x <= SCAN_LOG_LIMIT) & (ybar <= SCAN_LOG_LIMIT)[node]
     upper, lower = _two_term(np.exp(x + 2.0 * LOG_KERNEL_ETA),
@@ -527,11 +565,12 @@ def _lower(x, y):
     return (1.0 - _ROUND) * x - (1.0 + _ROUND) * y - 2.0**-1000
 
 
-def _keep(b: _Bounds, below, one: bool, p: _PerPoint):
-    """(keep, live): the keep rule on the points of p that b bounds, for
-    the rows of b: the starlike scan's one (below None) or the eq1 rows of
-    the alphas in below, all < 1, with the row alpha = 1 too where one.  keep is a mask
-    over the points, live one flag per row of b: whether it keeps a point.
+def _keep(b: _Bounds, below, one: bool, p: _PerPoint, seed: float = math.inf):
+    """(keep, live, least): the keep rule on the points of p that b bounds,
+    for the rows of b: the starlike scan's one (below None) or the eq1 rows
+    of the alphas in below, all < 1, with the row alpha = 1 too where one.
+    keep is a mask over the points, live one flag per row of b: whether it
+    keeps a point, and least the least below, taken no larger than seed.
 
     At a realigned sample a row's computed value is x - y(|z1|, |z2|^2, |q|),
     with x, y >= 0 and y increasing in |z1| and |q|: x = |z|^2 and
@@ -564,7 +603,7 @@ def _keep(b: _Bounds, below, one: bool, p: _PerPoint):
     # x - y(0) is least where x is least and y(0) largest; min keeps the
     # least against a NaN (refused)
     nonzero = lower.any(axis=1).tolist()
-    least = 1.0 - qmax if one else math.inf  # alpha = 1: 1 - |z|^2, exact
+    least = min(seed, 1.0 - qmax) if one else seed  # alpha = 1: 1 - |z|^2, exact
     for (x, xmin), low, nz in zip(xs, lower, nonzero):
         least = min(least, np.fmin.reduce(x - y(r1, a2sq, low[column])) if nz else xmin - y0max)
     zmax = math.sqrt(qmax) * (1.0 + _ROUND)  # at least |z| at every point
@@ -578,7 +617,7 @@ def _keep(b: _Bounds, below, one: bool, p: _PerPoint):
     if any(nonzero) and np.isnan(lower).any():  # a row refuses a sample
         usable = ~np.isnan(lower).all(axis=0)[column]
         keep[np.flatnonzero(usable & (p.points != 0.0))[:1]] = True
-    return keep, live
+    return keep, live, least
 
 
 def _subplan(plan: _Plan, kept) -> _Samples:
@@ -588,6 +627,29 @@ def _subplan(plan: _Plan, kept) -> _Samples:
     at = np.unique(plan.table.samples[kept])
     return _Samples(points=plan.points[kept], src=np.searchsorted(kept, plan.src[at]),
                     r1=plan.r1[at], phi1=plan.phi1[at])
+
+
+def _two_stage(g: DiskFunction, p: _PerPoint, below, one: bool, coarse: _Bounds):
+    """(cand, b): the candidates, indices into p's points, that _keep keeps
+    on the coarse row, from the least among the points that the starlike
+    row refuses (the seed), and _log_bounds at the candidates, computed
+    once per point (see _screen).  eq1 takes no seed: on the default grid
+    it prunes no point and costs a _keep over nine rows."""
+    refused = np.isnan(coarse.lower[0, coarse.column]) & (below is None)
+    seed = np.flatnonzero(refused)
+    least, exact = math.inf, None
+    if seed.size:
+        exact = _log_bounds(g, p.points[seed], p.modulus[seed], below)
+        least = _keep(exact, below, one, p.take(seed))[2]
+    cand = np.flatnonzero(_keep(coarse, None if below is None else [max(below)], one, p, least)[0])
+    fresh = ~refused[cand]  # every seed point is a candidate
+    b = _log_bounds(g, p.points[cand[fresh]], p.modulus[cand[fresh]], below)
+    if exact is not None:
+        upper, lower = np.empty((2, b.upper.shape[0], cand.size))
+        upper[:, fresh], lower[:, fresh] = b.upper, b.lower
+        upper[:, ~fresh], lower[:, ~fresh] = exact.upper, exact.lower
+        b = _Bounds(upper, lower, slice(None))
+    return cand, b
 
 
 def _screen(f: ShearingMap, plan: _Plan, avals, trace_path):
@@ -600,16 +662,21 @@ def _screen(f: ShearingMap, plan: _Plan, avals, trace_path):
     and a map that neither covers, get plan itself, every row live but
     alpha = 1.
 
-    For a closed form with log_max_abs, _keep first runs on the coarse row
-    of _radial_bounds, at the largest alpha below 1 (where 1/a^2 is least),
-    over every point, and then with _log_bounds on the candidate points it
-    keeps; the result is that of the second stage on every point.  The
-    coarse lower bounds lie below, and the coarse least above, the exact
-    ones, so every point the second stage keeps is a candidate, the one
-    that attains the least among them.  A point that some row refuses or
-    certifies is refused in the coarse row, so the points z2 != 0 up to the
-    first one that some row does not refuse are candidates, the last as the
-    coarse row's first usable point or as refused there."""
+    For a closed form with radial bounds, _keep runs in stages
+    (_two_stage): for the starlike scan, on the points that the coarse row
+    of _radial_bounds refuses, exactly, for a least (the seed) that a
+    sample attains, so at least the full least, the one the exact stage
+    finds on all points; from the seed on the coarse row (eq1: at the
+    largest alpha below 1, where 1/a^2 is least) over every point; and on
+    _log_bounds at the candidates it keeps.  The result is the exact
+    stage's on all points.  A point that stage keeps has coarse lower bound
+    <= exact lower bound <= full least, which lies below the seed and the
+    coarse row's own least, so it is a candidate, as is the point that
+    attains the full least.  Every refused point is a candidate, and a
+    point that some row refuses or certifies is refused in the coarse row,
+    so the points z2 != 0 up to the first one that some row does not refuse
+    are candidates, the last as the coarse row's first usable point or as
+    refused there."""
     alphas = (None,) if avals is None else avals
     depends = [a != 1.0 for a in alphas]
     if trace_path is not None:
@@ -621,14 +688,15 @@ def _screen(f: ShearingMap, plan: _Plan, avals, trace_path):
     if f.g.coefficients is not None:
         b = _majorant(f.g.coefficients, p.node, below)
     elif p.modulus.max() <= LOG_KERNEL_RADIUS:
-        coarse = None if below is None else _radial_bounds(f.g, p.points, p.node, below)
-        if coarse is not None:
-            cand = np.flatnonzero(_keep(coarse, [max(below)], one, p)[0])
+        coarse = _radial_bounds(f.g, p.points, p.node, below)
+        if coarse is None:
+            b = _log_bounds(f.g, p.points, p.modulus, below)
+        else:
+            cand, b = _two_stage(f.g, p, below, one, coarse)
             p = p.take(cand)
-        b = _log_bounds(f.g, p.points, p.modulus, below)
     if b is None:
         return plan, depends
-    keep, live = _keep(b, below, one, p)
+    keep, live, _ = _keep(b, below, one, p)
     kept = np.flatnonzero(keep) if cand is None else cand[keep]
     live = iter(live)
     return _subplan(plan, kept), [d and next(live) for d in depends]
@@ -683,7 +751,7 @@ def _report(
     z1, z2 = z1_of(cand), pts[src[cand % n]]
     keys = np.column_stack([z1.real, z1.imag, z2.real, z2.imag]
                            + ([np.asarray(alphas)[cand // n]] if eq1 else []))
-    k = min(range(cand.size), key=lambda k: tuple(keys[k]))
+    k = np.lexsort(keys.T[::-1])[0]  # stable, and -0.0 ties with 0.0 as in a tuple
     best = int(cand[k])
     witness = BallPoint(complex(z1[k]), complex(z2[k]))
     alpha = alphas[best // n] if eq1 else None
@@ -812,23 +880,24 @@ def eq1_scan(
         ok = np.ones((len(avals), pts.size), dtype=bool)
         certified = np.zeros_like(ok)
         c = np.zeros(ok.shape, dtype=complex)
-        if any(live):
-            g2 = f.g.eval_raw(pts)
-            la2 = f.g.log_abs_of(pts, g2)
-        z1_given = r1[given] * np.exp(1j * phi1[given])
-        for i, a in enumerate(avals):
-            if a == 1.0:
-                values[i] = 1.0 - (r1 * r1 + a2sq)
-            if not live[i]:
-                continue
-            ga = f.g.eval_raw(a * pts)
-            laa = f.g.log_abs_of(a * pts, ga) - math.log(a)
-            ok[i], certified[i] = _eq1_status(la2, laa)
-            c[i] = g2 - ga / a
-            mm = r1 + np.abs(c[i])[src]
-            mm[given] = np.abs(z1_given + c[i][src[given]])
-            values[i] = 1.0 / (a * a) - (mm * mm + a2sq)
-            values[i][~ok[i][src]] = np.nan
-            values[i][certified[i][src]] = -math.inf
+        values[np.asarray(avals) == 1.0] = 1.0 - (r1 * r1 + a2sq)
+        rows = np.flatnonzero(live)  # the alphas < 1 whose row is evaluated, all at once
+
+        def kernels(z):
+            value = f.g.eval_raw(z)
+            return value, f.g.log_abs_of(z, value)
+
+        if rows.size:
+            g2, la2 = kernels(pts)
+            a = np.asarray(avals)[rows, None]
+            ga, laa = _by_rows(kernels, a, pts)
+            laa -= _logs(a[:, 0])
+            ok[rows], certified[rows] = okr, certr = _eq1_status(la2, laa)
+            c[rows] = cr = g2 - ga / a
+            mm = r1 + np.abs(cr)[:, src]
+            z1_given = r1[given] * np.exp(1j * phi1[given])
+            mm[:, given] = np.abs(z1_given + cr[:, src[given]])
+            v = 1.0 / (a * a) - (mm * mm + a2sq)
+            values[rows] = np.where(certr[:, src], -math.inf, np.where(okr[:, src], v, math.nan))
     # the minimizing z1 on the sphere points along c
     return _report(f, cfg, samples, values, c, 1, ok, certified, avals, trace_path)

@@ -270,6 +270,12 @@ class DiskFunction:
     for the computed values of both, which lets the eq1 scan's screen bound
     log|g(a z2)| per circle instead of evaluating it at every point.  The
     bound is stated against log_abs_raw, so it needs that kernel.
+    deriv_log_max_abs promises the same for deriv_log_abs_raw, which it
+    needs in turn,
+
+        deriv_log_abs_raw(z) <= deriv_log_max_abs(t)   on the same disks,
+
+    and lets the starlike scan's screen bound g and z2 g' per circle.
     """
 
     eval_raw: Callable = field(repr=False)
@@ -277,12 +283,16 @@ class DiskFunction:
     log_abs_raw: Callable | None = field(default=None, repr=False)
     deriv_log_abs_raw: Callable | None = field(default=None, repr=False)
     log_max_abs: Callable | None = field(default=None, repr=False)
+    deriv_log_max_abs: Callable | None = field(default=None, repr=False)
     coefficients: CoefficientSeries | None = None
     label: str = ""
 
     def __post_init__(self):
         if self.log_max_abs is not None and self.log_abs_raw is None:
             raise ConfigError("log_max_abs bounds log_abs_raw, which this disk function lacks")
+        if self.deriv_log_max_abs is not None and self.deriv_log_abs_raw is None:
+            raise ConfigError("deriv_log_max_abs bounds deriv_log_abs_raw, "
+                              "which this disk function lacks")
         g0 = complex(self.eval_raw(0.0j))
         dg0 = complex(self.deriv_raw(0.0j))
         if not (abs(g0) <= 1e-12 and abs(dg0) <= 1e-12):  # NaN fails too

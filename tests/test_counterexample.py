@@ -288,3 +288,37 @@ def test_radial_log_bound_keeps_its_promise(seed):
             assert exact <= exact_bound
             assert abs(log - exact) <= 2.0**-26
             assert abs(bound - LOG_KERNEL_ETA - exact_bound) <= 2.0**-26
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_radial_deriv_log_bound_keeps_its_promise(seed):
+    """deriv_log_max_abs(t) = log(2t + 3t^2/(1-t)^4) + (1-t)^-3 + eta keeps
+    the DiskFunction promise: deriv_log_abs_raw(z) <= deriv_log_max_abs(|z|)
+    at the points of test_radial_log_bound_keeps_its_promise, and
+    deriv_log_max_abs is nondecreasing.  At 50 digits (mpmath) the exact
+    log|g'| stays below the exact log(2t + 3t^2/(1-t)^4) + (1-t)^-3, the
+    computed bound lies within 2^-26 of its exact value, and
+    deriv_log_abs_raw at most 2^-26 above the exact bound, so eta covers
+    both roundings."""
+    mpmath = pytest.importorskip("mpmath")
+    g = counterexample_disk_function()
+    rng = np.random.default_rng(100 + seed)
+    rho = (1.0 - LOG_KERNEL_RADIUS) * 10.0 ** rng.uniform(0.0, 2.0, 200)
+    ray = 1.0 - rho * np.exp(1j * np.pi / 6.0)
+    z = np.concatenate([_contract_points(rng, 300), ray[np.abs(ray) <= LOG_KERNEL_RADIUS]])
+    t = np.abs(z)
+    with np.errstate(all="ignore"):
+        logs, bounds = g.deriv_log_abs_raw(z), g.deriv_log_max_abs(t)
+    assert (logs <= bounds).all()
+    ts = np.sort(np.concatenate([t, np.nextafter(t, 0.0), [0.0, LOG_KERNEL_RADIUS]]))
+    with np.errstate(divide="ignore"):
+        assert (np.diff(g.deriv_log_max_abs(ts)) >= 0.0).all()
+    with mpmath.workdps(50):
+        for zj, tj, log, bound in zip(z, t, logs, bounds):
+            w = mpmath.mpc(zj.real, zj.imag)
+            exact = mpmath.log(abs(2 * w + 3j * w * w / (1 - w) ** 4)) - (1 / (1 - w) ** 3).imag
+            s = mpmath.mpf(tj)
+            exact_bound = mpmath.log(2 * s + 3 * s * s / (1 - s) ** 4) + 1 / (1 - s) ** 3
+            assert exact <= exact_bound
+            assert log - exact_bound <= 2.0**-26
+            assert abs(bound - LOG_KERNEL_ETA - exact_bound) <= 2.0**-26

@@ -217,6 +217,17 @@ def test_radial_log_bound_needs_the_log_kernel():
     assert g.log_max_abs(0.5) == 2.0 * np.log(0.5)
 
 
+def test_radial_deriv_log_bound_needs_the_deriv_log_kernel():
+    """deriv_log_max_abs bounds deriv_log_abs_raw, so a disk function
+    without that kernel refuses it, even with log_abs_raw."""
+    with pytest.raises(ConfigError, match="deriv_log_abs_raw"):
+        DiskFunction(lambda z: z * z, lambda z: 2.0 * z, lambda z: 2.0 * np.log(np.abs(z)),
+                     deriv_log_max_abs=lambda t: np.log(2.0 * t))
+    g = DiskFunction(lambda z: z * z, lambda z: 2.0 * z, lambda z: 2.0 * np.log(np.abs(z)),
+                     lambda z: np.log(np.abs(2.0 * z)), deriv_log_max_abs=lambda t: np.log(2.0 * t))
+    assert g.deriv_log_max_abs(0.5) == 0.0
+
+
 def test_overflow_refusal():
     huge = DiskFunction(
         eval_raw=lambda z: 0.0 * z,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -76,7 +77,8 @@ def series_specs() -> dict:
 
 
 def exp_shear(sm, k, c, bounded):
-    """z^2 e^(k z + c), with log_max_abs when bounded."""
+    """z^2 e^(k z + c), with log_max_abs when bounded, and deriv_log_max_abs
+    too where the tree's DiskFunction has that field."""
     def eval_raw(z):
         return z * (z * np.exp(k * z + c))
 
@@ -95,10 +97,17 @@ def exp_shear(sm, k, c, bounded):
         with np.errstate(divide="ignore"):
             return 2.0 * np.log(t) + abs(k) * t + c + 2.0**-20
 
+    def deriv_log_max_abs(t):
+        with np.errstate(divide="ignore"):
+            return np.log(2.0 + abs(k) * t) + np.log(t) + abs(k) * t + c + 2.0**-20
+
     kernels = [eval_raw, deriv_raw, log_abs_raw, deriv_log_abs_raw]
+    bounds = {}
     if bounded:
         kernels.append(log_max_abs)
-    return sm.ShearingMap(sm.DiskFunction(*kernels, label=f"exp({k} z + {c})"))
+        if "deriv_log_max_abs" in {f.name for f in dataclasses.fields(sm.DiskFunction)}:
+            bounds["deriv_log_max_abs"] = deriv_log_max_abs
+    return sm.ShearingMap(sm.DiskFunction(*kernels, label=f"exp({k} z + {c})", **bounds))
 
 
 def outcome(call) -> str:

@@ -17,8 +17,11 @@ temporary directory.  The processes take turns, ``--rounds`` rounds at a
 time, for ``--batches`` batches, the first tree alternating between
 batches, so that both see the same machine.  The script prints per kind
 and tree the median latency in ms with its interquartile range, and the
-median and mean minor page faults per call.  It exits 1 when an operation
-fails its check.
+median and mean minor page faults per call; then per tree the sum of the
+per-kind medians (ms per round, the number the workload's ``ops_per_s``
+follows) and the faults per round (the sum of the per-kind means), and,
+with ``--base``, the change's ratio to the base of both.  It exits 1 when
+an operation fails its check.
 """
 
 from __future__ import annotations
@@ -118,15 +121,25 @@ def measure(trees: dict, rounds: int, batches: int, seed: int) -> int:
             proc.wait()
     print(f"{rounds} rounds x {batches} batches per tree; "
           "ms: median [IQR]; faults per call: median / mean")
+    totals = {name: [0.0, 0.0] for name in names}  # per round: ms (sum of medians), faults
     for kind in kinds:
         cells = []
         for name in names:
             rows = samples[name][kind]
             q1, med, q3 = quartiles([r[0] * 1e3 for r in rows])
             faults = [r[1] for r in rows]
+            totals[name][0] += med
+            totals[name][1] += statistics.fmean(faults)
             cells.append(f"{name} {med:7.3f} [{q3 - q1:.3f}] "
                          f"{statistics.median(faults):6.1f} / {statistics.fmean(faults):6.1f}")
         print(f"{kind:28s} " + "   ".join(cells))
+    for name, (ms, faults) in totals.items():
+        print(f"{name}: {ms:.3f} ms per round (sum of the per-kind medians), "
+              f"{faults:.1f} faults per round")
+    if len(names) == 2:
+        (ms0, f0), (ms1, f1) = totals.values()
+        ratio = f"{f1 / f0:.3f}" if f0 else "n/a (no faults in base)"
+        print(f"change / base: {ms1 / ms0:.3f} ms per round, {ratio} faults per round")
     for problem in failed[:10]:
         print(f"FAILED {problem}")
     return 1 if failed else 0
