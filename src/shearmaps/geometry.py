@@ -19,20 +19,19 @@ The scans sample sphere-stratified structured grids (radius s, split
 depend on z1 only through |z1| and its phase against one complex number
 per point, so a realigned z1 is exact: z1 = -|z1| w/|w| with
 w = g(z2) - z2 g'(z2) for the starlike quantity, and z1 = +|z1| c/|c| with
-c = g(z2) - g(a z2)/a for eq1 (|z1| itself where that number is 0).  The
-probe-free part of the plan depends only on the sampler's dimensions and
-seed and is cached, read-only, under those numbers (_plan), with the
-screen's per-point table (_Plan.table: |z2|, |z1|, |z2|^2, |z|^2 and its
-maximum, the node index and each point's sample indices).  A series'
-majorant table is cached under the series and the alphas below 1
-(_majorant_table).  Nothing that a kernel of g computes is cached.  The
-scans run on one thread; their `workers` argument is accepted for
+c = g(z2) - g(a z2)/a for eq1 (|z1| itself where that number is 0).  What
+the sampler's numbers and a series' coefficients fix is cached, read-only
+(_plan, _Plan.table, _majorant_table); nothing that a kernel of g computes
+is.  The scans run on one thread; their `workers` argument is accepted for
 compatibility and has no effect.
 
 The kernels see each distinct z2 of the plan at most once (both copies of
 a random point or probe share it): g(z2), g'(z2) and, for eq1, g(a z2) at
-every alpha < 1 in one (alphas x points) pass are evaluated as arrays, and
-only the arithmetic that involves z1 runs per sample.  A screen (_screen)
+every alpha < 1 are evaluated as arrays, and only the arithmetic that
+involves z1 runs per sample.  Every kernel call on a plan's points goes
+through _by_rows, in blocks of fewer than 2^13 points (2^17 bytes of
+complex), so that no value depends on how many points share a call, and a
+report does not depend on the plan's size or on a trace.  A screen (_screen)
 first picks the samples that can reach the minimum: one keep rule (_keep)
 applied to bounds on the number the scan computes at each point, w or c
 per alpha, from the sources that derive them (_majorant, _log_bounds, and
@@ -454,18 +453,34 @@ def _logs(alphas) -> np.ndarray:
     return np.asarray([math.log(a) for a in alphas])[:, None]
 
 
-def _by_rows(kernels, a, pts) -> list:
-    """The tuple kernels(a z2), for each alpha of the column a, as arrays
-    of rows x points.  kernels takes a flat array, once per group of rows
-    below 2^18 bytes of complex (one row where a row is larger): past that
-    size numpy evaluates temporaries in place, which can round a complex
-    product differently from one call per row."""
-    step = max(1, (2**18 - 1) // (16 * max(pts.size, 1)))
+def _by_rows(kernels, pts, a=None) -> list:
+    """The tuple kernels(z) at z = z2, as arrays of points (a None; z2
+    itself, unmultiplied), or at z = a z2 for each alpha of the column a,
+    as arrays of rows x points.  kernels takes a flat array, once per block
+    below 2^17 bytes of complex: a group of whole rows, or a slice of a
+    larger row.  From 2^18 bytes on numpy evaluates temporaries in place and
+    may swap a complex product's operands, which rounds it differently, so
+    a point's bits would depend on how many points share a call.  Below
+    2^17 bytes a block's temporaries also stay under the C library's default
+    mmap threshold (128 KiB) and reuse heap memory instead of fresh pages.
+    Every kernel of g that the scans run on a plan's points runs here."""
+    n, rows, block = pts.size, 1 if a is None else a.shape[0], (2**17 - 1) // 16
+    width = min(max(n, 1), block)  # points per call
+    step = block // width  # rows per call
     parts = []
-    for i in range(0, a.shape[0], step):
-        z = a[i:i + step] * pts
-        parts.append([np.asarray(v).reshape(z.shape) for v in kernels(z.ravel())])
-    return [np.concatenate(v) for v in zip(*parts)]
+    for i in range(0, rows, step):
+        for j in range(0, max(n, 1), width):
+            z = pts[j:j + width] if a is None else a[i:i + step] * pts[j:j + width]
+            parts.append(kernels(z.ravel()))
+    shape = pts.shape if a is None else (rows, n)
+    if len(parts) == 1:  # no copy
+        return [np.asarray(v).reshape(shape) for v in parts[0]]
+    return [np.concatenate(v).reshape(shape) for v in zip(*parts)]
+
+
+def _floats(*kernels):
+    """A kernels argument for _by_rows: the values of each as floats."""
+    return lambda z: [np.asarray(k(z), dtype=float) for k in kernels]
 
 
 def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | None:
@@ -492,22 +507,19 @@ def _log_bounds(g: DiskFunction, pts: np.ndarray, modulus, below) -> _Bounds | N
     g(a z2)/a) and the few roundings in the subnormal range."""
     if g.log_abs_raw is None or (below is None and g.deriv_log_abs_raw is None):
         return None
-    upper = np.empty((1 if below is None else len(below), pts.size))
-    lower = np.empty(upper.shape)
-    la = np.asarray(g.log_abs_raw(pts), dtype=float)
-    ex = np.exp(la + 2.0 * LOG_KERNEL_ETA)
     if below is None:
-        lda = np.asarray(g.deriv_log_abs_raw(pts), dtype=float)
+        la, lda = _by_rows(_floats(g.log_abs_raw, g.deriv_log_abs_raw), pts)
         ey = modulus * np.exp(lda + 2.0 * LOG_KERNEL_ETA)
-        ok = (la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT)
-        upper[0], lower[0] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998, ok)
-    if below:
+        s, status = 2.0**-998, ((la <= SCAN_LOG_LIMIT) & (lda <= SCAN_LOG_LIMIT),)
+    else:
         a = np.asarray(below)[:, None]
-        laa = _by_rows(lambda z: (np.asarray(g.log_abs_raw(z), dtype=float),), a, pts)[0]
-        laa -= _logs(below)
+        (la,) = _by_rows(_floats(g.log_abs_raw), pts)
+        (laa,) = _by_rows(_floats(g.log_abs_raw), pts, a)
+        laa = laa - _logs(below)
         ey = np.exp(laa + 2.0 * LOG_KERNEL_ETA)
-        upper[:], lower[:] = _two_term(ex, ey, ey * _SHRINK, 2.0**-998 / a, *_eq1_status(la, laa))
-    return _Bounds(upper, lower, slice(None))
+        s, status = 2.0**-998 / a, _eq1_status(la, laa)
+    upper, lower = _two_term(np.exp(la + 2.0 * LOG_KERNEL_ETA), ey, ey * _SHRINK, s, *status)
+    return _Bounds(np.atleast_2d(upper), np.atleast_2d(lower), slice(None))
 
 
 def _radial_bounds(g: DiskFunction, pts, node, below) -> _Bounds | None:
@@ -549,7 +561,7 @@ def _radial_bounds(g: DiskFunction, pts, node, below) -> _Bounds | None:
     a = np.asarray(below)[:, None]
     tmax = np.minimum(np.nextafter(a * t, math.inf), LOG_KERNEL_RADIUS)
     ybar = (np.asarray(g.log_max_abs(tmax), dtype=float) - _logs(below)).max(axis=0) + 2.0**-40
-    x = np.asarray(g.log_abs_raw(pts), dtype=float)
+    (x,) = _by_rows(_floats(g.log_abs_raw), pts)
     ok = (x <= SCAN_LOG_LIMIT) & (ybar <= SCAN_LOG_LIMIT)[node]
     upper, lower = _two_term(np.exp(x + 2.0 * LOG_KERNEL_ETA),
                              np.exp(ybar + 2.0 * LOG_KERNEL_ETA)[node], 0.0,
@@ -759,32 +771,17 @@ def _report(
     if math.isfinite(extremum):
         extremum = eq1_residual(f, alpha, witness) if eq1 else starlike_quantity(f, witness)
 
-    config = [
-        ("kind", kind),
-        ("input", f.label or "shear"),
-        ("radius", repr(cfg.radius)),
-        ("s_grid", str(cfg.n_radial)),
-        ("t_grid", str(cfg.n_split)),
-        ("phase_grid", str(cfg.n_phase)),
-        ("random", str(cfg.n_random)),
-        ("seed", str(cfg.seed)),
-        ("probes", str(len(cfg.probes))),
-    ]
+    config = [("kind", kind), ("input", f.label or "shear"), ("radius", repr(cfg.radius)),
+              ("s_grid", str(cfg.n_radial)), ("t_grid", str(cfg.n_split)),
+              ("phase_grid", str(cfg.n_phase)), ("random", str(cfg.n_random)),
+              ("seed", str(cfg.seed)), ("probes", str(len(cfg.probes)))]
     if eq1:
         config += [("label", "necessary-condition-check"),
                    ("alphas", f"{alphas[0]!r}:{alphas[-1]!r}:{len(alphas)}")]
     config += [("log_limit", repr(SCAN_LOG_LIMIT)), ("refused", str(refused))]
-    report = ScanReport(
-        kind=kind,
-        extremum=extremum,
-        witness=witness,
-        samples=cfg.sample_count,
-        refused=refused,
-        violation=extremum < VIOLATION_THRESHOLD,
-        threshold=VIOLATION_THRESHOLD,
-        config=tuple(config),
-        alpha=alpha,
-    )
+    report = ScanReport(kind=kind, extremum=extremum, witness=witness, samples=cfg.sample_count,
+                        refused=refused, violation=extremum < VIOLATION_THRESHOLD,
+                        threshold=VIOLATION_THRESHOLD, config=tuple(config), alpha=alpha)
     if trace_path is not None:
         z1, z2 = z1_of(np.arange(flat.size)), np.tile(pts[src], len(values))
         s = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
@@ -822,11 +819,15 @@ def starlike_scan(
         pts, src, r1, phi1 = samples
         given = ~np.isnan(phi1)
         norm_sq = r1**2 + np.abs(pts[src]) ** 2
-        g = f.g.eval_raw(pts)
-        w = g - pts * f.g.deriv_raw(pts)
-        ok = f.g.log_abs_of(pts, g) <= SCAN_LOG_LIMIT
-        if f.g.deriv_log_abs_raw is not None:
-            ok &= np.asarray(f.g.deriv_log_abs_raw(pts), dtype=float) <= SCAN_LOG_LIMIT
+
+        def kernels(z):
+            g = f.g.eval_raw(z)
+            ok = f.g.log_abs_of(z, g) <= SCAN_LOG_LIMIT
+            if f.g.deriv_log_abs_raw is not None:
+                ok &= np.asarray(f.g.deriv_log_abs_raw(z), dtype=float) <= SCAN_LOG_LIMIT
+            return g - z * f.g.deriv_raw(z), ok
+
+        w, ok = _by_rows(kernels, pts)
         values = norm_sq - np.abs(w)[src] * r1
         z1_given = r1[given] * np.exp(1j * phi1[given])
         values[given] = norm_sq[given] + (w[src[given]] * np.conj(z1_given)).real
@@ -858,9 +859,7 @@ def eq1_scan(
     refused otherwise.  workers is accepted for compatibility and has no
     effect."""
     cfg = sampler if sampler is not None else SamplerConfig()
-    avals = tuple(
-        _check_alpha(a) for a in (alphas if alphas is not None else default_alpha_grid())
-    )
+    avals = tuple(map(_check_alpha, default_alpha_grid() if alphas is None else alphas))
     if not avals:
         raise ConfigError("alpha grid must be nonempty")
     if all(a == 1.0 for a in avals):
@@ -888,10 +887,10 @@ def eq1_scan(
             return value, f.g.log_abs_of(z, value)
 
         if rows.size:
-            g2, la2 = kernels(pts)
+            g2, la2 = _by_rows(kernels, pts)
             a = np.asarray(avals)[rows, None]
-            ga, laa = _by_rows(kernels, a, pts)
-            laa -= _logs(a[:, 0])
+            ga, laa = _by_rows(kernels, pts, a)
+            laa = laa - _logs(a[:, 0])
             ok[rows], certified[rows] = okr, certr = _eq1_status(la2, laa)
             c[rows] = cr = g2 - ga / a
             mm = r1 + np.abs(cr)[:, src]

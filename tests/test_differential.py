@@ -21,4 +21,4 @@ def test_differential_corpus_slice_is_deterministic():
     assert runs[0] == runs[1]
     groups = {json.loads(line)[0] for line in runs[0].splitlines()}
     assert groups == {"scan", "closed", "screen", "certificate", "starshapelike", "growth",
-                      "counterexample", "cli"}
+                      "counterexample", "cli", "large"}

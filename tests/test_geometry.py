@@ -870,23 +870,68 @@ def test_coarse_row_bounds_every_exact_row(f, below, moduli, seed):
     assert (upper[~decided] == math.inf).all() and np.isnan(lower[~decided]).all()
 
 
-@pytest.mark.parametrize("n", [1, 5000, 9608, 16384, 20000])
+@pytest.mark.parametrize("n", [1, 5000, 8191, 8192, 9608, 16383, 16384, 20000])
 def test_alpha_rows_match_one_kernel_call_per_row(n):
-    """_by_rows gives, bit for bit, what one kernel call per alpha gives,
-    for a kernel with complex products of temporaries, z (z e^(k z + c)),
-    and for a series' Horner: its groups stay below numpy's 256 KiB
-    threshold for evaluating temporaries in place, which rounds such
-    products differently where the machine's loops differ, and a row
-    larger than that is its own group, as in a call per row."""
+    """_by_rows gives, bit for bit, what one kernel call per row gives when
+    each call holds at most 8,191 points, for z2 itself and for one and
+    three rows of alphas, and for a kernel with complex products of
+    temporaries, z (z e^(k z + c)), and a series' Horner.  From 16,384
+    complex points (256 KiB) on numpy evaluates temporaries in place,
+    which can round such a product differently, so a row of 16,384 or
+    more points evaluated in one call would differ."""
     rng = np.random.default_rng(n)
     pts = 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    alphas = np.asarray([0.3, 0.6, 0.9])[:, None]
     series = shear_from_series(CoefficientSeries(tuple(0.5 / k**3 for k in range(2, 30))))
     for g in (_exp_shear(0.0, 400.0).g, _exp_shear(10.0, 0.0).g, series.g):
-        with np.errstate(all="ignore"):
-            (rows,) = _by_rows(lambda z: (g.eval_raw(z),), alphas, pts)
-            want = np.stack([g.eval_raw(a * pts) for a in alphas[:, 0].tolist()])
-        assert rows.tobytes() == want.tobytes()
+        for alphas in (None, [0.6], [0.3, 0.6, 0.9]):
+            with np.errstate(all="ignore"):
+                a = None if alphas is None else np.asarray(alphas)[:, None]
+                (rows,) = _by_rows(lambda z: (g.eval_raw(z),), pts, a)
+                want = [np.concatenate([g.eval_raw(z[j:j + 8191]) for j in range(0, n, 8191)])
+                        for z in ([pts] if a is None else [x * pts for x in alphas])]
+            assert rows.tobytes() == (want[0] if a is None else np.stack(want)).tobytes()
+
+
+@pytest.mark.parametrize("f, n_random, alphas", [
+    (counterexample_map(), 20000, None),
+    (_exp_shear(3000.0, 0.0), 12000, (0.5, 0.9, 1.0)),
+], ids=["builtin-starlike", "exp3000-eq1"])
+def test_large_plans_report_the_same_traced(f, n_random, alphas, tmp_path):
+    """Past 16,384 points of the default sampler a traced scan, which
+    evaluates the full plan, reports what the screened scan reports on its
+    sub-plan of a few points, byte for byte: each kernel call holds fewer
+    than 8,192 points however large the plan (_by_rows)."""
+    cfg = SamplerConfig(n_random=n_random)
+    assert _build_samples(cfg).points.size > 16384
+    scan, kw = (starlike_scan, {}) if alphas is None else (eq1_scan, {"alphas": alphas})
+    assert _outcome(scan, f, cfg, **kw) == _outcome(scan, f, cfg, trace_path=tmp_path / "t.csv",
+                                                    **kw)
+
+
+def test_kernel_calls_hold_fewer_than_8192_points(tmp_path):
+    """Every kernel call of both scans holds fewer than 8,192 points
+    where the full plan of 24,992 points runs: for the
+    builtin map traced and past the log kernels' promise radius, and for a
+    coefficient-free polynomial, which no screen covers."""
+    largest = {}
+
+    def bounded(name, fn):
+        def kernel(z):
+            largest[name] = max(largest.get(name, 0), np.size(z))
+            return fn(z)
+        return kernel
+
+    poly = shear_from_series(CoefficientSeries((2.7,))).g
+    for g, radius, trace in ((counterexample_map().g, 0.99, tmp_path / "trace.csv"),
+                             (counterexample_map().g, 0.999, None),
+                             (DiskFunction(poly.eval_raw, poly.deriv_raw), 0.99, None)):
+        f = ShearingMap(dataclasses.replace(
+            g, **{k: bounded(k, getattr(g, k)) for k in KERNELS if getattr(g, k) is not None}))
+        cfg = SamplerConfig(radius=radius, n_random=20000)
+        starlike_scan(f, sampler=cfg, trace_path=trace)
+        eq1_scan(f, alphas=(0.5, 0.9, 1.0), sampler=cfg, trace_path=trace)
+    assert set(largest) == set(KERNELS)
+    assert max(largest.values()) == 8191
 
 
 def test_eq1_overflow_is_negative_without_a_certificate():
