@@ -22,8 +22,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .counterexample import (
     BUILTIN_NAME,
     DEFAULT_C_REPORT,
@@ -32,22 +30,21 @@ from .counterexample import (
     divergence_scan,
 )
 from .errors import ConfigError, ShearmapsError
-from .geometry import (
-    SamplerConfig,
-    default_alpha_grid,
-    eq1_scan,
-    starlike_quantity,
-    starlike_scan,
-)
-from .growth import DEFAULT_ANGULAR, growth_conformance_scan, shear_opnorm
 from .reporting import render
-from .series import BallPoint, load_series_spec, require_point_count
+from .series import (
+    DEFAULT_ALPHAS,
+    DEFAULT_ANGULAR,
+    BallPoint,
+    load_series_spec,
+    require_point_count,
+)
 from .shear import (
     DEFAULT_N_MAX,
     ShearingMap,
     all_certificates,
     embed_certificate,
     shear_from_series,
+    shear_opnorm,
 )
 
 _CERT_COLUMNS = ("kind", "status", "degree", "margin")
@@ -99,6 +96,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError("grid endpoints must be finite")
     if not math.isfinite(hi - lo):
         raise ConfigError(f"grid {text!r}: the distance between its endpoints overflows")
+    import numpy as np
+
     # (count - 1) * step, the last point, can round past double range;
     # linspace then sets that point to hi, so every value is finite
     with np.errstate(over="ignore"):
@@ -124,10 +123,13 @@ def _source_comment(args: argparse.Namespace, shear: ShearingMap) -> tuple[str, 
     return ("builtin" if args.builtin is not None else "input", shear.label)
 
 
-def _sampler(args: argparse.Namespace) -> SamplerConfig:
-    """The parser stores each sampler flag under its SamplerConfig field name."""
-    fields = dataclasses.fields(SamplerConfig)
-    return SamplerConfig(**{f.name: getattr(args, f.name) for f in fields})
+def _sampler(args: argparse.Namespace):
+    """The parser stores each sampler flag under its SamplerConfig field
+    name, and only when it is given; the defaults are SamplerConfig's own."""
+    from .geometry import SamplerConfig
+
+    given = (f.name for f in dataclasses.fields(SamplerConfig) if hasattr(args, f.name))
+    return SamplerConfig(**{name: getattr(args, name) for name in given})
 
 
 def _scan_row(report) -> list:
@@ -160,6 +162,8 @@ def _cmd_certify(args: argparse.Namespace):
 def _cmd_scan(args: argparse.Namespace):
     """starlike-scan and eq1-scan (over the alpha grid, by default
     default_alpha_grid())."""
+    from .geometry import eq1_scan, starlike_scan
+
     shear = _load_map(args)
     kwargs = dict(sampler=_sampler(args), trace_path=args.trace)
     if args.subcommand == "eq1-scan":
@@ -172,6 +176,8 @@ def _cmd_scan(args: argparse.Namespace):
 
 
 def _cmd_growth_scan(args: argparse.Namespace):
+    from .growth import growth_conformance_scan
+
     shear = _load_map(args)
     records = growth_conformance_scan(shear, args.grid, n_angular=args.angular)
     comments = [
@@ -205,6 +211,8 @@ def _cmd_counterexample(args: argparse.Namespace):
 
 
 def _cmd_eval(args: argparse.Namespace):
+    from .geometry import starlike_quantity
+
     shear = _load_map(args)
     comments = [_source_comment(args, shear)]
     if args.truncate is not None:
@@ -276,19 +284,20 @@ def _add_output_args(parser):
 
 
 def _add_sampler_args(parser):
-    # the dests are SamplerConfig's field names and the defaults its own
-    parser.add_argument("--radius", type=float, default=SamplerConfig.radius, metavar="R",
+    # the dests are SamplerConfig's field names; a flag not given sets no
+    # attribute, so that _sampler leaves that field at SamplerConfig's default
+    unset = argparse.SUPPRESS
+    parser.add_argument("--radius", type=float, default=unset, metavar="R",
                         help="sphere radius bounding the sample cloud")
-    parser.add_argument("--s-grid", dest="n_radial", type=int, default=SamplerConfig.n_radial,
+    parser.add_argument("--s-grid", dest="n_radial", type=int, default=unset,
                         metavar="N", help="structured sphere-radius count")
-    parser.add_argument("--t-grid", dest="n_split", type=int, default=SamplerConfig.n_split,
+    parser.add_argument("--t-grid", dest="n_split", type=int, default=unset,
                         metavar="N", help="structured norm-split count per sphere")
-    parser.add_argument("--phase-grid", dest="n_phase", type=int,
-                        default=SamplerConfig.n_phase, metavar="N",
+    parser.add_argument("--phase-grid", dest="n_phase", type=int, default=unset, metavar="N",
                         help="structured phase count")
-    parser.add_argument("--random", dest="n_random", type=int, default=SamplerConfig.n_random,
+    parser.add_argument("--random", dest="n_random", type=int, default=unset,
                         metavar="N", help="random sample count")
-    parser.add_argument("--seed", type=int, default=SamplerConfig.seed, metavar="S")
+    parser.add_argument("--seed", type=int, default=unset, metavar="S")
     parser.add_argument("--probe", dest="probes", action="append", default=[],
                         metavar="RE,IM[;RE,IM]",
                         help="explicit probe; one component is z2 (z1=0), two are z1;z2")
@@ -323,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eq1-scan", help="scan the subordination-chain residual")
     p.set_defaults(handler=_cmd_scan)
     _add_source_args(p)
-    alphas = default_alpha_grid()
+    first, last = DEFAULT_ALPHAS[0], DEFAULT_ALPHAS[-1]
     p.add_argument("--grid", metavar="A:B[:N]",
-                   help=f"alpha grid (default {alphas[0]!r}:{alphas[-1]!r}:{len(alphas)})")
+                   help=f"alpha grid (default {first!r}:{last!r}:{len(DEFAULT_ALPHAS)})")
     _add_sampler_args(p)
     _add_output_args(p)
 

@@ -63,16 +63,14 @@ above, and LOG_KERNEL_ETA covers them.  2t, 3t^2, (1-t)^-4, the log and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
-from .growth import shear_opnorm
 from .series import LOG_KERNEL_ETA, DiskFunction
-from .shear import ShearingMap
+from .shear import ShearingMap, shear_opnorm
 
 BUILTIN_NAME = "counterexample"
 
@@ -85,32 +83,57 @@ VERDICT_AFFIRMATIVE = (
 VERDICT_INSUFFICIENT_GRID = "insufficient grid"
 
 
+def _phase(z):
+    """h(z) = exp(i/(1-z)^3), the factor of g and g'.  An exponent w that is
+    a Python complex takes cmath.exp, so a scalar evaluation (DiskFunction's
+    normalization check, a scan's witness) loads no numpy.  cmath.exp and
+    numpy's exp both take e^Re(w) times cos and sin of Im(w), so their bits
+    agree, except above Re(w) = log(DBL_MAX/4), about 708.4, where CPython
+    rescales, and where cmath.exp raises OverflowError and numpy returns inf
+    with a warning.  From Re(w) = 708 on, at a non-finite w and for arrays,
+    numpy's exp runs, so every result keeps numpy's bits."""
+    w = 1j / (1.0 - z) ** 3
+    if type(w) is complex and cmath.isfinite(w) and w.real < 708.0:
+        return cmath.exp(w)
+    import numpy as np
+
+    return np.exp(w)
+
+
 def _g_raw(z):
-    return z * z * np.exp(1j / (1.0 - z) ** 3)
+    return z * z * _phase(z)
 
 
 def _deriv_raw(z):
-    return (2.0 * z + 3j * z * z / (1.0 - z) ** 4) * np.exp(1j / (1.0 - z) ** 3)
+    return (2.0 * z + 3j * z * z / (1.0 - z) ** 4) * _phase(z)
 
 
 def _log_abs_raw(z):
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         return 2.0 * np.log(np.abs(z)) - np.imag(1.0 / (1.0 - z) ** 3)
 
 
 def _deriv_log_abs_raw(z):
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         pref = np.log(np.abs(2.0 * z + 3j * z * z / (1.0 - z) ** 4))
     return pref - np.imag(1.0 / (1.0 - z) ** 3)
 
 
 def _log_max_abs(t):
+    import numpy as np
+
     d = 1.0 - t
     with np.errstate(divide="ignore"):
         return 2.0 * np.log(t) + 1.0 / (d * d * d) + LOG_KERNEL_ETA
 
 
 def _deriv_log_max_abs(t):
+    import numpy as np
+
     d = 1.0 - t
     with np.errstate(divide="ignore"):
         return np.log(2.0 * t + 3.0 * t * t / (d * d) ** 2) + 1.0 / (d * d * d) + LOG_KERNEL_ETA
@@ -136,6 +159,8 @@ def counterexample_map() -> ShearingMap:
 def unit_modulus_check(r_values: Sequence[float]) -> float:
     """Max over the grid of ||h(r)| - 1| for h = exp(i/(1-r)^3); the exponent
     is purely imaginary on the real radius, so the deviation is pure rounding."""
+    import numpy as np
+
     rs = np.asarray([float(r) for r in r_values], dtype=float)
     if rs.size == 0:
         raise ConfigError("r grid must be nonempty")

@@ -71,8 +71,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, OverflowRefusalError
-from .series import (LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, BallPoint, CoefficientSeries,
-                     DiskFunction, as_ball_point, require_point_count)
+from .series import (DEFAULT_ALPHAS, LOG_KERNEL_ETA, LOG_KERNEL_RADIUS, BallPoint,
+                     CoefficientSeries, DiskFunction, as_ball_point, require_point_count)
 from .shear import ShearingMap
 
 DEFAULT_SEED = 1729
@@ -849,7 +849,7 @@ def starlike_scan(
 
 
 def default_alpha_grid() -> tuple[float, ...]:
-    return tuple(np.linspace(0.1, 1.0, 10).tolist())
+    return DEFAULT_ALPHAS
 
 
 def eq1_scan(

@@ -39,14 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, UncertifiedMapError
-from .series import as_ball_point, circle_values, require_point_count
-from .shear import ShearingMap, starlike_certificate
+from .series import DEFAULT_ANGULAR, circle_values, require_point_count
+from .shear import ShearingMap, starlike_certificate, unipotent_opnorm
 
 # Sampled sup may exceed the ceiling by at most this before it counts as a
 # conformance violation (absorbs evaluation rounding only).
 CONFORMANCE_TOLERANCE = 1e-9
-
-DEFAULT_ANGULAR = 2048
 
 
 @dataclass(frozen=True)
@@ -57,18 +55,6 @@ class GrowthRecord:
     sup_norm: float
     bound: float
     conforms: bool
-
-
-def unipotent_opnorm(m: float) -> float:
-    """Operator norm of [[1, m], [0, 1]]: (|m| + sqrt(m^2 + 4))/2."""
-    m = abs(float(m))
-    return (m + math.hypot(m, 2.0)) / 2.0
-
-
-def shear_opnorm(f: ShearingMap, point) -> float:
-    """||df(z)|| for a shearing map; depends on z only through |g'(z2)|."""
-    p = as_ball_point(point)
-    return unipotent_opnorm(abs(f.g.deriv(p.z2)))
 
 
 def s0_growth_bound(r: float) -> float:

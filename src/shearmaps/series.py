@@ -18,10 +18,9 @@ import cmath
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -104,6 +103,14 @@ def as_ball_point(point) -> BallPoint:
     return BallPoint(z1, z2)
 
 
+# Scan defaults, here so that the CLI's parser reads them without loading
+# numpy: eq1's alpha grid, np.linspace(0.1, 1.0, 10) as Python floats, and
+# the growth scan's samples on each circle |z2| = r.
+DEFAULT_ALPHAS = (0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8,
+                  0.9, 1.0)
+DEFAULT_ANGULAR = 2048
+
+
 @dataclass(frozen=True)
 class CoefficientSeries:
     """Taylor coefficients a_2..a_M of a normalized disk function.
@@ -147,13 +154,20 @@ class CoefficientSeries:
         return self.coeffs[i] if i < len(self.coeffs) else 0.0j
 
 
-def _horner_loop(terms, z):
+def _numpy_of(z):
+    """numpy when z is an ndarray, else None.  Only a loaded numpy can have
+    made an array, so scalar work never imports it."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(z, np.ndarray) else None
+
+
+def _horner_loop(terms, z, np):
     # p = p * z + t over the terms from p = 0 * z, bit for bit: the first
     # step allocates p with the result dtype, later ones update it in place,
     # except on one point, which numpy multiplies in place without the fused
     # multiply-add of its out-of-place loop (another rounding).
     p = 0.0 * z
-    in_place = isinstance(z, np.ndarray) and z.size > 1
+    in_place = np is not None and z.size > 1
     for i, t in enumerate(terms):
         if in_place and i:
             p *= z
@@ -177,7 +191,7 @@ class _SeriesKernels:
     complex128 arrays, to which numpy adds them without converting a Python
     scalar at every step; the sums are the same IEEE operations, so the
     bits are too.  Building lazily keeps scalar-only work (certify, embed)
-    free of per-term arrays."""
+    free of per-term arrays, and a scalar z never loads numpy."""
 
     def __init__(self, coeffs: tuple[complex, ...]):
         self.coeffs = coeffs
@@ -189,21 +203,25 @@ class _SeriesKernels:
 
     @functools.cached_property
     def array_terms(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        import numpy as np
+
         return tuple(tuple(map(np.asarray, terms)) for terms in self.scalar_terms)
 
-    def _terms(self, z):
-        if isinstance(z, np.ndarray) and z.dtype in (np.float64, np.complex128):
+    def _terms(self, z, np):
+        if np is not None and z.dtype in (np.float64, np.complex128):
             return self.array_terms
         return self.scalar_terms
 
     def eval_raw(self, z):
-        return _horner_loop(self._terms(z)[0], z) * z * z
+        np = _numpy_of(z)
+        return _horner_loop(self._terms(z, np)[0], z, np) * z * z
 
     def deriv_raw(self, z):
-        p = _horner_loop(self._terms(z)[1], z) * z
+        np = _numpy_of(z)
+        p = _horner_loop(self._terms(z, np)[1], z, np) * z
         # g'(0) = 0 for every normalized map: where 2 a_2 overflows, inf * 0
         # would make it NaN.  Only non-finite results at z = 0 are replaced.
-        if isinstance(p, np.ndarray):
+        if np is not None and isinstance(p, np.ndarray):
             p[(z == 0) & ~np.isfinite(p)] = 0
         elif z == 0 and not cmath.isfinite(p):
             p = 0j
@@ -218,8 +236,9 @@ def circle_values(coeffs, radii, n: int) -> np.ndarray:
     (radii x n) table of the x[m], zero-padded below degree n, is built
     once and transformed in place (ifft's out=, numpy 2.0), so no second
     complex array of that size is made; a table numpy cannot allocate or
-    transform is a ConfigError.  numpy.fft is imported on the first call,
-    so importing the package does not load it."""
+    transform is a ConfigError.  numpy and numpy.fft are imported on the
+    first call, so importing the package does not load them."""
+    import numpy as np
     from numpy import fft
 
     c = np.asarray(coeffs, dtype=complex)
@@ -345,12 +364,16 @@ class DiskFunction:
     def log_abs_of(self, z, value):
         """log|g(z)| for value = eval_raw(z): the closed-form evaluator when
         present, else log|value| (-inf at zeros, inf past double range)."""
+        import numpy as np
+
         if self.log_abs_raw is not None:
             return np.asarray(self.log_abs_raw(z), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.abs(value))
 
     def eval(self, zeta) -> complex:
+        import numpy as np
+
         z = require_disk_point(zeta)
         with np.errstate(all="ignore"):
             value = self.eval_raw(z)

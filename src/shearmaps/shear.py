@@ -132,6 +132,18 @@ def shear_from_series(series: CoefficientSeries, label: str = "") -> ShearingMap
     return ShearingMap(disk_function_from_series(series, label=label))
 
 
+def unipotent_opnorm(m: float) -> float:
+    """Operator norm of [[1, m], [0, 1]]: (|m| + sqrt(m^2 + 4))/2."""
+    m = abs(float(m))
+    return (m + math.hypot(m, 2.0)) / 2.0
+
+
+def shear_opnorm(f: ShearingMap, point) -> float:
+    """||df(z)|| for a shearing map; depends on z only through |g'(z2)|."""
+    p = as_ball_point(point)
+    return unipotent_opnorm(abs(f.g.deriv(p.z2)))
+
+
 def embed_certificate(f: ShearingMap, n_max: int = DEFAULT_N_MAX) -> Certificate:
     """The smallest N in 1..n_max with tail_sum(N) <= 1.  Past the largest
     stored index M, tail_sum(N) is the declared tail bound alone, so only

@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import geometric_series
 from shearmaps import (
     DEFAULT_R_GRID,
+    CoefficientSeries,
     ConfigError,
     SamplerConfig,
     default_alpha_grid,
@@ -233,8 +236,7 @@ def test_counterexample_custom_grid(tmp_path):
 
 def test_eval_cli_matches_library(geo_spec, tmp_path):
     from conftest import geometric_shear
-    from shearmaps import starlike_quantity
-    from shearmaps.growth import shear_opnorm
+    from shearmaps import shear_opnorm, starlike_quantity
 
     out = tmp_path / "eval.csv"
     assert main(["eval", "--input", geo_spec, "--probe", "0.1,0.2;0.3,-0.1",
@@ -611,3 +613,46 @@ def test_cli_runs_are_byte_identical(a27_spec, tmp_path):
                      "--random", "200", "--out", str(out)]) == 1
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_certificates_and_map_construction_do_not_load_numpy(tmp_path):
+    """Importing the package, building the benchmark's two spec maps and the
+    builtin, their certificates, and `python -m shearmaps certify` and
+    `embed` are pure Python and run without numpy; the first starlike scan
+    loads it."""
+    specs = {
+        "geometric40": CoefficientSeries([2.0**-k for k in range(2, 41)],
+                                         tail_bound=84.0 * 2.0**-41),
+        "cubic200": CoefficientSeries([0.5 / k**3 for k in range(2, 201)],
+                                      tail_bound=0.5 / 200),
+    }
+    paths = []
+    for name, series in specs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dump_series_spec(series))
+    code = "\n".join([
+        "import runpy, sys",
+        "import shearmaps as sm",
+        "loaded = ['numpy' in sys.modules]",
+        "maps = [sm.shear_from_series(sm.load_series_spec(p)) for p in sys.argv[1:]]",
+        "maps.append(sm.counterexample_map())",
+        "for f in maps:",
+        "    sm.all_certificates(f), sm.embed_certificate(f)",
+        "loaded.append('numpy' in sys.modules)",
+        "for sub in ('certify', 'embed'):",
+        "    sys.argv[1:] = [sub, '--input', sys.argv[-1]]",
+        "    try:",
+        "        runpy.run_module('shearmaps', run_name='__main__')",
+        "    except SystemExit as exc:",
+        "        assert exc.code == 0, exc.code",
+        "    loaded.append('numpy' in sys.modules)",
+        "sm.starlike_scan(maps[0], sampler=sm.SamplerConfig(n_random=10))",
+        "print(loaded, 'numpy' in sys.modules, file=sys.stderr)",
+    ])
+    src = str(Path(sys.modules["shearmaps"].__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "[False, False, False, False] True"
+    assert out.stdout.count("Embeddable,Certified,1,") == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -74,6 +75,36 @@ def test_normalization_of_builtin():
     assert g.deriv_raw(0.0j) == 0.0
     assert g.coefficients is None
     assert g.label == "counterexample"
+
+
+def _bits(value):
+    return struct.pack("<2d", value.real, value.imag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(
+    st.builds(cmath.rect, st.floats(0.0, 1.0 - 1e-12), st.floats(-math.pi, math.pi)),
+    # 1 - z near 0.11 e^(i pi/6) puts the exponent's real part near 709
+    st.builds(lambda rho, theta: 1.0 - cmath.rect(rho, theta),
+              st.floats(1e-6, 0.3), st.floats(-1.5, 1.5)),
+).filter(lambda z: abs(z) <= 1.0 - 1e-12))
+@example(z=0j)
+@example(z=complex(-0.0, 0.0))
+@example(z=complex(0.0, -0.0))
+@example(z=complex(-0.0, -0.0))
+@example(z=0.9028752509655752 - 0.05607499999999999j)  # exponent 708.93: cmath.exp rescales
+@example(z=0.9034381674780351 - 0.055749999999999994j)  # exponent 721.4: cmath.exp raises
+def test_builtin_scalar_kernels_give_numpy_bits(z):
+    """The builtin's eval_raw and deriv_raw evaluate a Python complex with
+    cmath, and give the bits of their numpy expressions: both parts and the
+    sign of every zero, and the same inf and NaN where the exponent
+    overflows."""
+    g = counterexample_disk_function()
+    with np.errstate(all="ignore"):
+        want = [z * z * np.exp(1j / (1.0 - z) ** 3),
+                (2.0 * z + 3j * z * z / (1.0 - z) ** 4) * np.exp(1j / (1.0 - z) ** 3)]
+        got = [g.eval_raw(z), g.deriv_raw(z)]
+    assert list(map(_bits, got)) == list(map(_bits, want))
 
 
 def test_deriv_refused_past_double_range():

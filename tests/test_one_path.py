@@ -2,6 +2,7 @@
 that nothing calls, such as a second evaluator for a job another path does."""
 
 import ast
+import importlib
 from pathlib import Path
 from types import ModuleType
 
@@ -55,13 +56,15 @@ def test_every_public_function_is_exported_or_used():
 
 
 def test_every_export_is_bound_in_its_submodule():
-    """__all__ is derived from the package's imports: each name appears once,
-    none is a module, and each is the same object as in some submodule."""
+    """__all__ is the export table's names: each appears once, none is a
+    module, each is the same object as in the submodule the table names, and
+    dir() lists them all."""
     exports = shearmaps.__all__
-    submodules = [m for m in vars(shearmaps).values() if isinstance(m, ModuleType)]
-    assert exports and submodules
+    assert exports and exports == sorted(shearmaps._EXPORTS)
     assert len(set(exports)) == len(exports)
+    assert set(exports) <= set(dir(shearmaps))
     for name in exports:
         value = getattr(shearmaps, name)
         assert not isinstance(value, ModuleType), name
-        assert any(vars(m).get(name, None) is value for m in submodules), name
+        module = importlib.import_module(f"shearmaps.{shearmaps._EXPORTS[name]}")
+        assert vars(module)[name] is value, name
